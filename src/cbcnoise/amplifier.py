@@ -25,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (
-    VAR_COH,
-    QuadratureStats,
-    RngStream,
-    as_generator,
-    estimate_stats,
-    merge_stats,
-)
-from .combining import _chunk_counts
+from .coherent import VAR_COH, QuadratureStats, RngStream, as_generator, run_chunks
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -51,6 +43,9 @@ class AmplifierSpec:
     n_cl: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "n_cl"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind not in KINDS:
             raise ValueError(f"unknown amplifier kind {self.kind!r}")
         if self.kind == "phase_sensitive":
@@ -165,6 +160,31 @@ def cascade(specs, budget: NoiseBudget) -> NoiseBudget:
     return out
 
 
+def equal_stages(total_gain: float, stages: int) -> list:
+    """A chain of equal quantum-limited stages with total intensity gain total_gain."""
+    if stages < 1:
+        raise ValueError("need at least one stage")
+    return [AmplifierSpec(g=total_gain ** (1.0 / (2.0 * stages)))] * stages
+
+
+def chain_kernel(chain, mean=1.0, sigma=0.5):
+    """Chunk kernel for ``run_chunks``: a Gaussian input through a chain.
+
+    Each trial draws an input field about ``mean`` with per-quadrature
+    standard deviation ``sigma`` (0.5 is the coherent state), x block
+    before p block, then passes it through the specs of ``chain`` in
+    order, all on the same generator.
+    """
+    def kernel(count, gen):
+        fields = (mean
+                  + gen.normal(scale=sigma, size=count)
+                  + 1j * gen.normal(scale=sigma, size=count))
+        for spec in chain:
+            fields = amplify_sample(fields, spec, gen)
+        return fields
+    return kernel
+
+
 def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
                             rng: RngStream, mean=0.0) -> QuadratureStats:
     """Monte Carlo of one stage driven by a classically noisy input.
@@ -177,34 +197,13 @@ def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
     """
     if input_var < VAR_COH:
         raise ValueError("input variance below the coherent floor is unphysical")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    sigma_in = math.sqrt(input_var)
-    stats = None
-    for idx, count in enumerate(_chunk_counts(trials, 1)):
-        gen = rng.substream(idx).generator()
-        inputs = (mean
-                  + gen.normal(scale=sigma_in, size=count)
-                  + 1j * gen.normal(scale=sigma_in, size=count))
-        chunk = estimate_stats(amplify_sample(inputs, spec, gen))
-        stats = chunk if stats is None else merge_stats(stats, chunk)
-    return stats
+    return run_chunks(chain_kernel([spec], mean, math.sqrt(input_var)), 1, trials, rng)
 
 
 def simulate_amplifier(spec: AmplifierSpec, trials: int, rng: RngStream,
                        mean=1.0) -> QuadratureStats:
     """Monte Carlo of one stage driven by an ideal coherent input."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    stats = None
-    for idx, count in enumerate(_chunk_counts(trials, 1)):
-        gen = rng.substream(idx).generator()
-        inputs = (mean
-                  + gen.normal(scale=0.5, size=count)
-                  + 1j * gen.normal(scale=0.5, size=count))
-        chunk = estimate_stats(amplify_sample(inputs, spec, gen))
-        stats = chunk if stats is None else merge_stats(stats, chunk)
-    return stats
+    return run_chunks(chain_kernel([spec], mean), 1, trials, rng)
 
 
 def simulate_cascade(total_gain: float, stages: int, trials: int, rng: RngStream,
@@ -214,20 +213,4 @@ def simulate_cascade(total_gain: float, stages: int, trials: int, rng: RngStream
     Each stage has intensity gain total_gain**(1/stages); the measured output
     variance should match the single-stage law for the total gain.
     """
-    if stages < 1:
-        raise ValueError("need at least one stage")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    g_stage = total_gain ** (1.0 / (2.0 * stages))
-    spec = AmplifierSpec(g=g_stage)
-    stats = None
-    for idx, count in enumerate(_chunk_counts(trials, stages)):
-        gen = rng.substream(idx).generator()
-        fields = (mean
-                  + gen.normal(scale=0.5, size=count)
-                  + 1j * gen.normal(scale=0.5, size=count))
-        for _ in range(stages):
-            fields = amplify_sample(fields, spec, gen)
-        chunk = estimate_stats(fields)
-        stats = chunk if stats is None else merge_stats(stats, chunk)
-    return stats
+    return run_chunks(chain_kernel(equal_stages(total_gain, stages), mean), stages, trials, rng)

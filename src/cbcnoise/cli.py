@@ -22,9 +22,10 @@ import math
 import sys
 
 from .coherent import VAR_COH
-from .combining import CbcConfig, predict_output, sql_phase_variance, xi_threshold
-from .amplifier import AmplifierSpec, NoiseBudget, predict_variance
-from .engine import ExperimentPlan, load_plan, run_plan
+from .combining import predict_output, sql_phase_variance, xi_threshold
+from .amplifier import KINDS, AmplifierSpec, NoiseBudget, predict_variance
+from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
+from .phaselock import FeedbackConfig
 
 _UNIT_RULES = (
     ("N", "beam count"),
@@ -123,13 +124,7 @@ def cmd_predict(args) -> int:
         chosen = ["cbc", "amp", "threshold"]
     records = []
     if "cbc" in chosen:
-        if args.N is None or args.n is None:
-            raise ValueError("cbc prediction needs -N and -n")
-        config = CbcConfig(
-            n_beams=args.N, photons=args.n,
-            phase_var=args.phase_var,
-            xi=args.xi if args.phase_var is None else None,
-        )
+        config = EXPERIMENTS["cbc"].config(_record("cbc", args, "prediction"))
         pred = predict_output(config)
         records.append({
             "kind": "cbc", "N": config.n_beams, "n": config.photons,
@@ -172,40 +167,20 @@ def cmd_predict(args) -> int:
 # simulate
 
 
+def _record(name: str, args, verb: str) -> dict:
+    """Grid record of experiment ``name`` from the flags named like its keys."""
+    experiment = EXPERIMENTS[name]
+    if any(getattr(args, key) is None for key in experiment.keys):
+        flags = (("-" if len(key) == 1 else "--") + key.replace("_", "-") for key in experiment.keys)
+        raise ValueError(f"{name} {verb} needs {' and '.join(flags)}")
+    return {key: getattr(args, key) for key in experiment.keys + experiment.options
+            if getattr(args, key) is not None}
+
+
 def _plan_from_args(args) -> ExperimentPlan:
-    record = {}
-    ex = args.experiment
-    if ex == "cbc":
-        if args.N is None or args.n is None:
-            raise ValueError("cbc simulation needs -N and -n")
-        record = {"N": args.N, "n": args.n}
-        if args.phase_var is not None:
-            record["phase_var"] = args.phase_var
-        else:
-            record["xi"] = args.xi if args.xi is not None else 1.0
-    elif ex == "amp":
-        if args.G is None:
-            raise ValueError("amp simulation needs -G")
-        record = {"G": args.G, "kind": args.kind}
-    elif ex == "cascade":
-        if args.G is None:
-            raise ValueError("cascade simulation needs -G")
-        record = {"G": args.G, "stages": args.stages}
-    elif ex == "gamma":
-        if args.N is None or args.phase_var is None:
-            raise ValueError("gamma simulation needs -N and --phase-var")
-        record = {"N": args.N, "phase_var": args.phase_var}
-    else:  # lock
-        if args.N is None or args.n is None:
-            raise ValueError("lock simulation needs -N and -n")
-        record = {
-            "N": args.N, "n": args.n, "drift_var": args.drift_var,
-            "gain": args.gain, "intervals": args.intervals,
-            "init_spread": args.init_spread,
-        }
     return ExperimentPlan(
-        experiment=ex, grid=(record,), trials=args.trials,
-        master_seed=args.seed, tolerance_k=args.tolerance_k,
+        experiment=args.experiment, grid=(_record(args.experiment, args, "simulation"),),
+        trials=args.trials, master_seed=args.seed, tolerance_k=args.tolerance_k,
     )
 
 
@@ -312,20 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    p_sim.add_argument("experiment", nargs="?",
-                       choices=("cbc", "amp", "cascade", "lock", "gamma"))
+    p_sim.add_argument("experiment", nargs="?", choices=tuple(EXPERIMENTS))
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
     p_sim.add_argument("-N", type=int, help="number of beams (or gamma terms)")
     p_sim.add_argument("-n", type=float, help="photons per beam")
-    p_sim.add_argument("--xi", type=float, help="phase accuracy factor")
-    p_sim.add_argument("--phase-var", type=float, dest="phase_var", help="phase variance in rad^2")
+    p_sim.add_argument("--xi", type=float, default=1.0,
+                       help="phase accuracy factor (default 1)")
+    p_sim.add_argument("--phase-var", type=float, dest="phase_var",
+                       help="phase variance in rad^2 (overrides --xi)")
     p_sim.add_argument("-G", type=float, help="amplifier intensity gain")
     p_sim.add_argument("--stages", type=int, default=1, help="cascade stage count (default 1)")
-    p_sim.add_argument("--kind", choices=("quantum_limited", "measure_prepare", "phase_sensitive"),
+    p_sim.add_argument("--kind", choices=KINDS,
                        default="quantum_limited", help="amplifier model (default quantum_limited)")
     p_sim.add_argument("--drift-var", type=float, dest="drift_var", default=0.0,
                        help="lock: per-interval phase drift variance in rad^2")
-    p_sim.add_argument("--gain", type=float, default=0.5, help="lock: controller gain")
+    p_sim.add_argument("--gain", type=float, default=FeedbackConfig.controller_gain,
+                       help="lock: controller gain")
     p_sim.add_argument("--intervals", type=int, default=100, help="lock: correction intervals")
     p_sim.add_argument("--init-spread", type=float, dest="init_spread", default=0.0,
                        help="lock: initial alternating phase offset in rad")
@@ -353,6 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "trials"):
         args.trials = int(args.trials)
+    if getattr(args, "phase_var", None) is not None:
+        args.xi = None  # --phase-var overrides --xi
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -9,10 +9,15 @@ vacuum included, saturates the Heisenberg bound sqrt(var_x * var_p) = 1/4.
 Random numbers come from counter-based Philox streams addressed by a master
 seed plus an index tuple, so any (seed, index) pair reproduces the identical
 sequence regardless of how work is scheduled across threads or processes.
+
+Every Monte Carlo ensemble in the package runs through ``run_chunks``:
+fixed-size chunks, one substream per chunk, statistics merged in chunk
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +28,13 @@ VAR_COH = 0.25
 
 # Standard deviation matching VAR_COH, used for every Gaussian quadrature draw.
 _SIGMA_COH = 0.5
+
+# Target element count per Monte Carlo chunk.  Chunk size is a pure function
+# of the per-trial width, so the stream layout (and therefore every sampled
+# number) is independent of worker count.
+_CHUNK_BUDGET = 1 << 21
+_CHUNK_MAX = 1 << 16
+_CHUNK_MIN = 1 << 10
 
 
 def photon_number(alpha):
@@ -158,3 +170,36 @@ def merge_stats(a: QuadratureStats, b: QuadratureStats) -> QuadratureStats:
     se_scale = math.sqrt(2.0 / (n - 1))
     return QuadratureStats(mean_x, mean_p, var_x, var_p,
                            var_x * se_scale, var_p * se_scale, n)
+
+
+def chunk_trials(width: int) -> int:
+    """Trials per chunk for ensembles whose trials each need ``width`` draws."""
+    return min(_CHUNK_MAX, max(_CHUNK_MIN, _CHUNK_BUDGET // max(1, int(width))))
+
+
+def _run_chunk(kernel, count, stream):
+    samples = kernel(count, stream.generator())
+    if count == 1:
+        # a one-trial last chunk has no spread; merge_stats needs only its mean
+        z = complex(np.ravel(samples)[0])
+        return QuadratureStats(z.real, z.imag, 0.0, 0.0, 0.0, 0.0, 1)
+    return estimate_stats(samples)
+
+
+def chunk_jobs(kernel, width: int, trials: int, stream: RngStream) -> list:
+    """One zero-argument job per chunk, in chunk order, returning its stats.
+
+    Chunk i holds chunk_trials(width) trials (the last one the remainder),
+    sampled by ``kernel(count, generator)`` from ``stream.substream(i)``.
+    """
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    size = chunk_trials(width)
+    return [functools.partial(_run_chunk, kernel, min(size, trials - start), stream.substream(idx))
+            for idx, start in enumerate(range(0, trials, size))]
+
+
+def run_chunks(kernel, width: int, trials: int, stream: RngStream) -> QuadratureStats:
+    """Merged statistics of ``chunk_jobs``, run in chunk order."""
+    jobs = chunk_jobs(kernel, width, trials, stream)
+    return functools.reduce(merge_stats, (job() for job in jobs))

@@ -21,30 +21,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, estimate_stats, merge_stats
+from .coherent import VAR_COH, QuadratureStats, RngStream, run_chunks
+from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
 SMALL_ANGLE_LIMIT = 0.05
 
-# Target element count per Monte Carlo chunk.  Chunk size is a pure function
-# of the per-trial width, so the stream layout (and therefore every sampled
-# number) is independent of worker count.
-_CHUNK_BUDGET = 1 << 21
-_CHUNK_MAX = 1 << 16
-_CHUNK_MIN = 1 << 10
-
 
 class SmallAngleWarning(UserWarning):
     """Raised when a configured phase variance exceeds the quadratic regime."""
-
-
-def chunk_trials(width: int) -> int:
-    """Trials per chunk for ensembles whose trials each need ``width`` draws."""
-    return min(_CHUNK_MAX, max(_CHUNK_MIN, _CHUNK_BUDGET // max(1, int(width))))
 
 
 def sql_phase_variance(n_beams: int, photons: float) -> float:
@@ -88,6 +76,10 @@ class CbcConfig:
     xi: float = None
 
     def __post_init__(self):
+        for name in ("photons", "phase_var", "xi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.n_beams < 2:
             raise ValueError("need at least two beams")
         if self.photons <= 0:
@@ -114,47 +106,39 @@ class CbcConfig:
             )
 
 
-@lru_cache(maxsize=64)
-def _dft_matrix(n: int) -> np.ndarray:
-    j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+def _beams(amplitudes) -> np.ndarray:
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.size == 0:
+        raise ValueError("empty input")
+    return a
 
 
 def dft(amplitudes) -> np.ndarray:
     """Unitary forward transform of beam amplitudes to combiner ports."""
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.size == 0:
-        raise ValueError("empty input")
-    return _dft_matrix(a.shape[-1]) @ a if a.ndim == 1 else a @ _dft_matrix(a.shape[-1]).T
+    return np.fft.fft(_beams(amplitudes), norm="ortho")
 
 
 def inverse_dft(amplitudes) -> np.ndarray:
     """Unitary inverse transform, conjugate of ``dft``."""
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.size == 0:
-        raise ValueError("empty input")
-    m = np.conj(_dft_matrix(a.shape[-1]))
-    return m @ a if a.ndim == 1 else a @ m.T
+    return np.fft.ifft(_beams(amplitudes), norm="ortho")
 
 
 def combine_port_amplitude(amplitudes) -> complex:
     """Amplitude in the coherent-sum port, (1/sqrt(N)) * sum_j alpha_j."""
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.size == 0:
-        raise ValueError("empty input")
+    a = _beams(amplitudes)
     return complex(a.sum() / np.sqrt(a.size))
 
 
 def error_signals(amplitudes) -> np.ndarray:
     """Per-beam error amplitudes obtained by nulling the coherent-sum port.
 
-    Transforms forward, zeroes port 0, transforms back.  Algebraically this
-    equals alpha_j - mean(alpha), so the signals sum to zero and vanish only
-    for identical inputs.
+    Transforming forward, zeroing port 0 and transforming back is exactly
+    the projection alpha_j - mean(alpha), computed here directly along the
+    last axis.  The signals sum to zero and vanish only for identical inputs.
     """
-    f = dft(amplitudes)
-    f[..., 0] = 0.0
-    return inverse_dft(f)
+    a = _beams(amplitudes)
+    # sum / N is bit for bit a.mean(), without its overhead on the lock loop's path
+    return a - a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
 def error_photon_number(phases, photons: float) -> float:
@@ -227,29 +211,37 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     return fields.sum(axis=1) / math.sqrt(n_beams)
 
 
-def _chunk_counts(trials: int, width: int):
-    size = chunk_trials(width)
-    counts = [size] * (trials // size)
-    if trials % size:
-        counts.append(trials % size)
-    return counts
+def cbc_kernel(config: CbcConfig):
+    """Chunk kernel for ``run_chunks``: combined-port samples of ``config``."""
+    return lambda count, gen: sample_cbc_outputs(config, count, gen)
 
 
 def simulate_cbc(config: CbcConfig, trials: int, rng: RngStream) -> QuadratureStats:
     """Monte Carlo ensemble of the combined output port.
 
-    Runs in fixed-size chunks, one substream per chunk, merged in chunk
-    order, so the result is bit-identical for any degree of parallelism
-    that respects the chunk layout.
+    Runs through ``run_chunks``, so the result is bit-identical for any
+    degree of parallelism that respects its chunk layout.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    stats = None
-    for idx, count in enumerate(_chunk_counts(trials, config.n_beams)):
-        gen = rng.substream(idx).generator()
-        chunk = estimate_stats(sample_cbc_outputs(config, count, gen))
-        stats = chunk if stats is None else merge_stats(stats, chunk)
-    return stats
+    return run_chunks(cbc_kernel(config), config.n_beams, trials, rng)
+
+
+def gamma_sum_kernel(n_terms: int, phase_var: float):
+    """Chunk kernel for ``run_chunks``: one sum(psi_k^2) over k = 1..N per trial.
+
+    The phases are independent zero-mean Gaussians of variance phase_var;
+    each sum is returned as a real sample, so it lands in the x quadrature
+    of the chunk statistics.
+    """
+    if n_terms < 1:
+        raise ValueError("need at least one term")
+    if phase_var <= 0:
+        raise ValueError("phase variance must be positive")
+    sigma = math.sqrt(phase_var)
+
+    def kernel(count, gen):
+        psi = gen.normal(scale=sigma, size=(count, n_terms))
+        return np.einsum("ij,ij->i", psi, psi)
+    return kernel
 
 
 def gamma_sum_statistics(n_terms: int, phase_var: float, trials: int, rng: RngStream):
@@ -259,26 +251,5 @@ def gamma_sum_statistics(n_terms: int, phase_var: float, trials: int, rng: RngSt
     with shape N/2 and scale 2*phase_var, so the mean is N*phase_var and the
     variance 2*N*phase_var^2.  Returns (mean, variance).
     """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    if phase_var <= 0:
-        raise ValueError("phase variance must be positive")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    sigma = math.sqrt(phase_var)
-    total = 0.0
-    m2 = 0.0
-    mean = 0.0
-    seen = 0
-    for idx, count in enumerate(_chunk_counts(trials, n_terms)):
-        gen = rng.substream(idx).generator()
-        psi = gen.normal(scale=sigma, size=(count, n_terms))
-        s = np.einsum("ij,ij->i", psi, psi)
-        c_mean = float(s.mean())
-        c_m2 = float(((s - c_mean) ** 2).sum())
-        delta = c_mean - mean
-        total = seen + count
-        mean += delta * count / total
-        m2 += c_m2 + delta * delta * seen * count / total
-        seen = int(total)
-    return mean, m2 / (seen - 1)
+    stats = run_chunks(gamma_sum_kernel(n_terms, phase_var), n_terms, trials, rng)
+    return stats.mean_x, stats.var_x

@@ -6,10 +6,12 @@ errors.  ``run_plan`` executes every grid point, compares measurements with
 the matching closed-form prediction, and flags each point pass or fail at
 |z| <= tolerance_k.
 
-Work is split into fixed-size chunks whose random streams are addressed by
-(master seed, point index, chunk index).  Chunk boundaries depend only on
-the plan, never on scheduling, and partial statistics merge in chunk order,
-so one worker or many produce bit-identical results.
+``EXPERIMENTS`` is the one table of experiments.  A chunked experiment
+splits each point into fixed-size chunks whose random streams are addressed
+by (master seed, point index, chunk index); any other experiment runs each
+point as one task on the (master seed, point index) stream.  Jobs depend
+only on the plan, never on scheduling, and partial statistics merge in chunk
+order, so one worker or many produce bit-identical results.
 
 Plan files are flat key = value text, for example::
 
@@ -29,20 +31,21 @@ like ints, float otherwise; anything else stays a string.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, estimate_stats
+from .coherent import VAR_COH, QuadratureStats, RngStream, chunk_jobs
+from .coherent import estimate_stats as estimate_stats  # canonical home, re-exported here
 from .coherent import merge_stats as merge_stats  # canonical home, re-exported here
 from . import amplifier as amp_mod
 from . import combining as cbc_mod
 from . import phaselock as lock_mod
-
-EXPERIMENTS = ("cbc", "amp", "cascade", "lock", "gamma")
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,46 @@ def load_plan(path) -> ExperimentPlan:
     )
 
 
-def _se_scale(trials: int) -> float:
-    return math.sqrt(2.0 / (trials - 1))
-
-
 # ---------------------------------------------------------------------------
-# per-experiment chunk kernels and scoring
+# the experiment table
+
+
+class Experiment(NamedTuple):
+    """One row of ``EXPERIMENTS``.
+
+    A chunked experiment (``width`` set) runs ``work(config)`` as the chunk
+    kernel of every chunk job; otherwise ``work(config, stream)`` is the
+    point's single task.  The command line builds a grid record from the
+    flags named like ``keys`` (required) and ``options``.
+    """
+
+    keys: tuple  # grid keys every point must give
+    options: tuple  # grid keys a point may give
+    config: Callable  # grid record -> validated configuration
+    width: Callable | None  # configuration -> draws per trial
+    work: Callable
+    score: Callable  # (config, output, trials, k) -> PointResult fields after config
+
+
+def _judged(stats, measured, predicted, se, k):
+    z = {name: (measured[name] - predicted[name]) / se[name] for name in predicted}
+    return stats, measured, predicted, se, z, all(abs(v) <= k for v in z.values())
+
+
+def _score_stats(predict, config, stats, trials, k):
+    """Score of a chunked point: its merged stats against predict(config)."""
+    measured = {
+        "mean_x": stats.mean_x,
+        "mean_p": stats.mean_p,
+        "var_x": stats.var_x,
+        "var_p": stats.var_p,
+    }
+    se = {
+        "mean_x": stats.se_mean_x,
+        "var_x": stats.se_var_x,
+        "var_p": stats.se_var_p,
+    }
+    return _judged(stats, measured, predict(config), se, k)
 
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
@@ -152,95 +189,43 @@ def _cbc_config(record) -> cbc_mod.CbcConfig:
     return cbc_mod.CbcConfig(**kwargs)
 
 
-def _amp_spec(record) -> amp_mod.AmplifierSpec:
-    return amp_mod.AmplifierSpec(
-        g=math.sqrt(float(record["G"])),
+def _cbc_predicted(config):
+    pred = cbc_mod.predict_output(config)
+    return {"mean_x": pred.mean_amplitude, "var_x": pred.var_x, "var_p": pred.var_p}
+
+
+# amp and cascade points are (total gain, amplifier specs applied in order)
+
+
+def _amp_config(record):
+    total_gain = float(record["G"])
+    return total_gain, [amp_mod.AmplifierSpec(
+        g=math.sqrt(total_gain),
         kind=str(record.get("kind", "quantum_limited")),
         n_cl=float(record.get("n_cl", 0.0)),
-    )
+    )]
 
 
-def _stats_experiment_chunks(record, experiment, trials):
-    """Yield (chunk_index, count, kernel) for experiments measured as stats."""
-    if experiment == "cbc":
-        config = _cbc_config(record)
-        width = config.n_beams
-        kernel = lambda count, gen: cbc_mod.sample_cbc_outputs(config, count, gen)
-    elif experiment == "amp":
-        spec = _amp_spec(record)
-        width = 1
-
-        def kernel(count, gen, spec=spec):
-            inputs = 1.0 + gen.normal(scale=0.5, size=count) + 1j * gen.normal(scale=0.5, size=count)
-            return amp_mod.amplify_sample(inputs, spec, gen)
-    else:  # cascade
-        stages = int(record["stages"])
-        g_stage = float(record["G"]) ** (1.0 / (2.0 * stages))
-        spec = amp_mod.AmplifierSpec(g=g_stage)
-        width = stages
-
-        def kernel(count, gen, spec=spec, stages=stages):
-            fields = 1.0 + gen.normal(scale=0.5, size=count) + 1j * gen.normal(scale=0.5, size=count)
-            for _ in range(stages):
-                fields = amp_mod.amplify_sample(fields, spec, gen)
-            return fields
-
-    size = cbc_mod.chunk_trials(width)
-    counts = [size] * (trials // size)
-    if trials % size:
-        counts.append(trials % size)
-    return [(idx, count, kernel) for idx, count in enumerate(counts)]
+def _cascade_config(record):
+    total_gain = float(record["G"])
+    return total_gain, amp_mod.equal_stages(total_gain, int(record["stages"]))
 
 
-def _score_stats_point(record, experiment, stats, trials, k):
-    measured = {
-        "mean_x": stats.mean_x,
-        "mean_p": stats.mean_p,
-        "var_x": stats.var_x,
-        "var_p": stats.var_p,
-    }
-    if experiment == "cbc":
-        pred = cbc_mod.predict_output(_cbc_config(record))
-        predicted = {"mean_x": pred.mean_amplitude, "var_x": pred.var_x, "var_p": pred.var_p}
-    elif experiment == "amp":
-        spec = _amp_spec(record)
-        if spec.kind == "phase_sensitive":
-            predicted = {
-                "mean_x": spec.g,
-                "var_x": spec.gain * VAR_COH,
-                "var_p": VAR_COH / spec.gain,
-            }
-        else:
-            budget = amp_mod.predict_variance(spec, amp_mod.NoiseBudget(1.0))
-            predicted = {
-                "mean_x": spec.g,
-                "var_x": budget.total_variance,
-                "var_p": budget.total_variance,
-            }
-    else:  # cascade
-        stages = int(record["stages"])
-        g_stage = float(record["G"]) ** (1.0 / (2.0 * stages))
-        budget = amp_mod.cascade([amp_mod.AmplifierSpec(g=g_stage)] * stages,
-                                 amp_mod.NoiseBudget(1.0))
-        predicted = {
-            "mean_x": math.sqrt(float(record["G"])),
-            "var_x": budget.total_variance,
-            "var_p": budget.total_variance,
-        }
-    se = {
-        "mean_x": stats.se_mean_x,
-        "var_x": stats.se_var_x,
-        "var_p": stats.se_var_p,
-    }
-    z = {name: (measured[name] - predicted[name]) / se[name] for name in predicted}
-    passed = all(abs(v) <= k for v in z.values())
-    return PointResult(dict(record), stats, measured, predicted, se, z, passed)
+def _chain_predicted(chain):
+    total_gain, stages = chain
+    if stages[0].kind == "phase_sensitive":
+        var_x, var_p = stages[0].gain * VAR_COH, VAR_COH / stages[0].gain
+    else:
+        budget = amp_mod.NoiseBudget(1.0)
+        for spec in stages:
+            budget = amp_mod.predict_variance(spec, budget)
+        var_x = var_p = budget.total_variance
+    return {"mean_x": math.sqrt(total_gain), "var_x": var_x, "var_p": var_p}
 
 
-def _run_gamma_point(record, trials, seed_stream, k):
-    n_terms = int(record["N"])
-    phase_var = float(record["phase_var"])
-    mean, variance = cbc_mod.gamma_sum_statistics(n_terms, phase_var, trials, seed_stream)
+def _gamma_score(config, stats, trials, k):
+    n_terms, phase_var = config
+    mean, variance = stats.mean_x, stats.var_x
     pred_mean = n_terms * phase_var
     pred_var = 2.0 * n_terms * phase_var ** 2
     # analytic standard errors from the gamma moments (excess kurtosis 12/N)
@@ -249,17 +234,16 @@ def _run_gamma_point(record, trials, seed_stream, k):
     measured = {"mean": mean, "variance": variance}
     predicted = {"mean": pred_mean, "variance": pred_var}
     se = {"mean": se_mean, "variance": se_var}
-    z = {name: (measured[name] - predicted[name]) / se[name] for name in predicted}
-    passed = all(abs(v) <= k for v in z.values())
-    return PointResult(dict(record), None, measured, predicted, se, z, passed)
+    return _judged(None, measured, predicted, se, k)
 
 
-def _run_lock_point(record, seed_stream):
+def _lock_config(record):
+    """(FeedbackConfig, initial phases or None) for one lock point."""
     config = lock_mod.FeedbackConfig(
         n_beams=int(record["N"]),
         photons=float(record["n"]),
         drift_var=float(record.get("drift_var", 0.0)),
-        controller_gain=float(record.get("gain", 0.4)),
+        controller_gain=float(record.get("gain", lock_mod.FeedbackConfig.controller_gain)),
         intervals=int(record.get("intervals", 100)),
     )
     spread = float(record.get("init_spread", 0.0))
@@ -267,65 +251,69 @@ def _run_lock_point(record, seed_stream):
     if spread:
         pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(config.n_beams)])
         init = spread * (pattern - pattern.mean())
-    state = lock_mod.run_feedback(config, seed_stream, initial_phases=init)
+    return config, init
+
+
+def _lock_score(lock, state, trials, k):
+    config, _ = lock
     ratio = state.steady_state_ratio(config)
     sql = cbc_mod.sql_phase_variance(config.n_beams, config.photons)
-    final_var = state.variance_track()[-1]
+    final_var = float(state.variance_track()[-1])
     measured = {"steady_ratio": ratio, "final_var": final_var, "clicks": state.clicks_total}
-    predicted = {"sql": sql}
     if config.drift_var > 0:
         # drifting loop cannot hold below the single-interval quantum limit
         passed = math.isfinite(ratio) and ratio >= 1.0
     else:
         passed = final_var <= 10.0 * sql
-    return PointResult(dict(record), None, measured, predicted, {}, {}, passed)
+    return None, measured, {"sql": sql}, {}, {}, bool(passed)
+
+
+_score_chain = functools.partial(_score_stats, _chain_predicted)  # amp and cascade
+
+EXPERIMENTS = {
+    "cbc": Experiment(("N", "n"), ("phase_var", "xi"), _cbc_config, lambda c: c.n_beams,
+                      cbc_mod.cbc_kernel, functools.partial(_score_stats, _cbc_predicted)),
+    "amp": Experiment(("G",), ("kind",), _amp_config, lambda c: len(c[1]),
+                      lambda c: amp_mod.chain_kernel(c[1]), _score_chain),
+    "cascade": Experiment(("G",), ("stages",), _cascade_config, lambda c: len(c[1]),
+                          lambda c: amp_mod.chain_kernel(c[1]), _score_chain),
+    "lock": Experiment(("N", "n"), ("drift_var", "gain", "intervals", "init_spread"),
+                       _lock_config, None,
+                       lambda c, stream: lock_mod.run_feedback(c[0], stream, initial_phases=c[1]),
+                       _lock_score),
+    "gamma": Experiment(("N", "phase_var"), (), lambda r: (int(r["N"]), float(r["phase_var"])),
+                        lambda c: c[0], lambda c: cbc_mod.gamma_sum_kernel(*c), _gamma_score),
+}
+
+
+def _point_jobs(experiment: Experiment, config, trials: int, stream: RngStream) -> list:
+    if experiment.width is None:
+        return [functools.partial(experiment.work, config, stream)]
+    return chunk_jobs(experiment.work(config), experiment.width(config), trials, stream)
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     """Execute a plan and score every grid point.
 
-    ``workers`` only controls scheduling; chunk streams and merge order are
-    fixed by the plan, so results are identical for any worker count.
+    All points' jobs form one list, run serially or on one thread pool.
+    ``workers`` only controls scheduling; streams and merge order are fixed
+    by the plan, so results are identical for any worker count.
     """
+    experiment = EXPERIMENTS[plan.experiment]
     base = RngStream(plan.master_seed)
-    k = plan.tolerance_k
-
-    if plan.experiment in ("cbc", "amp", "cascade"):
-        tasks = []
-        for p_idx, record in enumerate(plan.grid):
-            for c_idx, count, kernel in _stats_experiment_chunks(record, plan.experiment, plan.trials):
-                tasks.append((p_idx, c_idx, count, kernel))
-
-        def run_task(task):
-            p_idx, c_idx, count, kernel = task
-            gen = base.substream(p_idx, c_idx).generator()
-            return p_idx, c_idx, estimate_stats(kernel(count, gen))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(run_task, tasks))
-        else:
-            done = [run_task(t) for t in tasks]
-        per_point = {}
-        for p_idx, c_idx, stats in done:
-            per_point.setdefault(p_idx, {})[c_idx] = stats
-        points = []
-        for p_idx, record in enumerate(plan.grid):
-            chunks = per_point[p_idx]
-            stats = None
-            for c_idx in sorted(chunks):
-                stats = chunks[c_idx] if stats is None else merge_stats(stats, chunks[c_idx])
-            points.append(_score_stats_point(record, plan.experiment, stats, plan.trials, k))
-        return ExperimentResult(plan, tuple(points))
-
-    if plan.experiment == "gamma":
-        runner = lambda p_idx, record: _run_gamma_point(record, plan.trials, base.substream(p_idx), k)
-    else:  # lock
-        runner = lambda p_idx, record: _run_lock_point(record, base.substream(p_idx))
-    jobs = list(enumerate(plan.grid))
+    configs = [experiment.config(record) for record in plan.grid]
+    point_jobs = [_point_jobs(experiment, config, plan.trials, base.substream(p_idx))
+                  for p_idx, config in enumerate(configs)]
+    jobs = [job for per_point in point_jobs for job in per_point]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda job: runner(*job), jobs))
+            outputs = iter(list(pool.map(lambda job: job(), jobs)))
     else:
-        points = [runner(*job) for job in jobs]
+        outputs = iter([job() for job in jobs])
+    points = []
+    for record, config, per_point in zip(plan.grid, configs, point_jobs):
+        # a chunked point merges its chunks in order; a task point has one output
+        output = functools.reduce(merge_stats, itertools.islice(outputs, len(per_point)))
+        scored = experiment.score(config, output, plan.trials, plan.tolerance_k)
+        points.append(PointResult(dict(record), *scored))
     return ExperimentResult(plan, tuple(points))

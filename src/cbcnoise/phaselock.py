@@ -93,6 +93,9 @@ class FeedbackConfig:
     intervals: int = 100
 
     def __post_init__(self):
+        for name in ("photons", "drift_var", "controller_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_beams < 2:
             raise ValueError("need at least two beams")
         if self.photons <= 0:

@@ -156,3 +156,68 @@ def test_compare_csv(tmp_path):
     worse = {(r["N"], r["xi"]): r["cbc_worse"] for r in rows}
     assert worse[("2", "1.0")] == "1"
     assert worse[("8", "1.0")] == "0"
+
+
+DRIFT_FREE_LOCK = ["simulate", "lock", "-N", "2", "-n", "10000", "--intervals", "60",
+                   "--init-spread", "0.05", "--seed", "5"]
+
+
+def test_simulate_lock_json(tmp_path):
+    out_path = tmp_path / "lock.json"
+    assert main(DRIFT_FREE_LOCK + ["--format", "json", "--out", str(out_path)]) == 0
+    record = json.loads(out_path.read_text())["records"][0]
+    assert record["passed"] is True
+    assert isinstance(record["measured_final_var"], float)
+    assert record["measured_final_var"] <= 10 * record["predicted_sql"]
+
+
+def test_simulate_lock_csv(tmp_path):
+    out_path = tmp_path / "lock.csv"
+    assert main(DRIFT_FREE_LOCK + ["--out", str(out_path)]) == 0
+    _, rows = read_csv(out_path)
+    row = rows[0]
+    assert row["passed"] == "1"
+    assert float(row["measured_final_var"]) <= 10 * float(row["predicted_sql"])
+
+
+def test_simulate_lock_default_gain_matches_library(tmp_path):
+    from cbcnoise import FeedbackConfig
+
+    out_path = tmp_path / "lock.csv"
+    main(DRIFT_FREE_LOCK + ["--out", str(out_path)])
+    _, rows = read_csv(out_path)
+    assert float(rows[0]["gain"]) == FeedbackConfig.controller_gain == 0.4
+
+
+def test_simulate_choices_are_the_experiment_table():
+    from cbcnoise.cli import build_parser
+    from cbcnoise.engine import EXPERIMENTS
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    simulate = sub.choices["simulate"]
+    experiment = next(a for a in simulate._actions if a.dest == "experiment")
+    assert tuple(experiment.choices) == tuple(EXPERIMENTS)
+
+
+def test_simulate_rejects_nan_xi(capsys):
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--xi", "nan",
+                 "--trials", "1000"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,column,value", [
+    ([], "xi", "1.0"),
+    (["--xi", "2"], "xi", "2.0"),
+    (["--phase-var", "0.001"], "phase_var", "0.001"),
+    (["--xi", "2", "--phase-var", "0.001"], "phase_var", "0.001"),
+])
+def test_simulate_cbc_columns(tmp_path, flags, column, value):
+    # one phase column: xi (default 1), or phase_var, which overrides --xi
+    out_path = tmp_path / "cbc.csv"
+    main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
+          "--out", str(out_path)] + flags)
+    _, rows = read_csv(out_path)
+    assert list(rows[0])[:7] == ["experiment", "seed", "trials", "tolerance_k", "N", "n", column]
+    assert list(rows[0])[7] == "measured_mean_x"
+    assert rows[0][column] == value

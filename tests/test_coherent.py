@@ -117,3 +117,39 @@ def test_merge_rejects_missing_side():
     stats = estimate_stats(np.array([0j, 1j, 2j]))
     with pytest.raises(ValueError):
         merge_stats(None, stats)
+
+
+def test_run_chunks_layout():
+    from cbcnoise.coherent import chunk_jobs, chunk_trials, run_chunks
+
+    def kernel(count, gen):
+        return sample_coherent(0.5, gen, size=count)
+
+    # 3 full chunks and a remainder, each on its own substream of the base
+    trials = 3 * chunk_trials(1) + 500
+    assert len(chunk_jobs(kernel, 1, trials, RngStream(8))) == 4
+    serial = run_chunks(kernel, 1, trials, RngStream(8))
+    acc = None
+    for idx, count in enumerate([chunk_trials(1)] * 3 + [500]):
+        part = estimate_stats(kernel(count, RngStream(8).substream(idx).generator()))
+        acc = part if acc is None else merge_stats(acc, part)
+    assert serial == acc
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        run_chunks(kernel, 1, 1, RngStream(8))
+
+
+def test_run_chunks_merges_a_one_trial_last_chunk():
+    from cbcnoise.coherent import chunk_trials, run_chunks
+
+    def kernel(count, gen):
+        return sample_coherent(0.5, gen, size=count)
+
+    size = chunk_trials(1)
+    stats = run_chunks(kernel, 1, size + 1, RngStream(4))
+    z = np.concatenate([kernel(size, RngStream(4).substream(0).generator()),
+                        kernel(1, RngStream(4).substream(1).generator())])
+    assert stats.trials == size + 1
+    assert stats.mean_x == pytest.approx(z.real.mean(), rel=1e-12)
+    assert stats.mean_p == pytest.approx(z.imag.mean(), rel=1e-12)
+    assert stats.var_x == pytest.approx(z.real.var(ddof=1), rel=1e-12)
+    assert stats.var_p == pytest.approx(z.imag.var(ddof=1), rel=1e-12)

@@ -209,3 +209,15 @@ def test_chunk_trials_bounds():
     assert chunk_trials(6) == 65536
     assert chunk_trials(100) == 2 ** 21 // 100
     assert chunk_trials(10_000) == 1024
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 17, 64, 257, 1024])
+def test_error_signals_equal_nulled_port_zero(n):
+    # the physical definition: forward transform, null the coherent-sum
+    # port, transform back; error_signals computes the projection instead
+    gen = np.random.default_rng(100 + n)
+    for a in (gen.normal(size=n) + 1j * gen.normal(size=n),
+              gen.normal(size=(5, n)) + 1j * gen.normal(size=(5, n))):
+        f = dft(a)
+        f[..., 0] = 0.0
+        assert np.max(np.abs(error_signals(a) - inverse_dft(f))) <= 1e-12

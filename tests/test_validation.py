@@ -1,0 +1,39 @@
+"""Configuration records reject non-finite numbers."""
+
+import math
+
+import pytest
+
+from cbcnoise import AmplifierSpec, CbcConfig, FeedbackConfig
+from cbcnoise.cli import main
+
+CBC_XI = {"n_beams": 2, "photons": 100.0, "xi": 1.0}
+CBC_VAR = {"n_beams": 2, "photons": 100.0, "phase_var": 0.01}
+AMP = {"g": 2.0, "n_cl": 0.1}
+LOCK = {"n_beams": 2, "photons": 100.0, "drift_var": 1e-4, "controller_gain": 0.4}
+
+# (record type, valid keyword arguments, float field to spoil)
+FLOAT_FIELDS = [
+    (CbcConfig, CBC_XI, "photons"),
+    (CbcConfig, CBC_XI, "xi"),
+    (CbcConfig, CBC_VAR, "phase_var"),
+    (AmplifierSpec, AMP, "g"),
+    (AmplifierSpec, AMP, "n_cl"),
+    (FeedbackConfig, LOCK, "photons"),
+    (FeedbackConfig, LOCK, "drift_var"),
+    (FeedbackConfig, LOCK, "controller_gain"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,kwargs,name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in FLOAT_FIELDS])
+def test_non_finite_field_rejected(cls, kwargs, name, bad):
+    cls(**kwargs)  # the unspoiled record is valid
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{**kwargs, name: bad})
+
+
+def test_cli_rejects_nan_xi(capsys):
+    assert main(["predict", "--cbc", "-N", "2", "-n", "100", "--xi", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
