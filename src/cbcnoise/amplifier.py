@@ -168,12 +168,12 @@ def equal_stages(total_gain: float, stages: int) -> list:
 
 
 def chain_kernel(chain, mean=1.0, sigma=0.5):
-    """Chunk kernel for ``run_chunks``: a Gaussian input through a chain.
+    """(kernel, width) for ``run_chunks``: a Gaussian input through a chain.
 
     Each trial draws an input field about ``mean`` with per-quadrature
     standard deviation ``sigma`` (0.5 is the coherent state), x block
     before p block, then passes it through the specs of ``chain`` in
-    order, all on the same generator.
+    order, all on the same generator.  The width is the stage count.
     """
     def kernel(count, gen):
         fields = (mean
@@ -182,7 +182,7 @@ def chain_kernel(chain, mean=1.0, sigma=0.5):
         for spec in chain:
             fields = amplify_sample(fields, spec, gen)
         return fields
-    return kernel
+    return kernel, len(chain)
 
 
 def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
@@ -197,13 +197,13 @@ def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
     """
     if input_var < VAR_COH:
         raise ValueError("input variance below the coherent floor is unphysical")
-    return run_chunks(chain_kernel([spec], mean, math.sqrt(input_var)), 1, trials, rng)
+    return run_chunks(*chain_kernel([spec], mean, math.sqrt(input_var)), trials, rng)
 
 
 def simulate_amplifier(spec: AmplifierSpec, trials: int, rng: RngStream,
                        mean=1.0) -> QuadratureStats:
     """Monte Carlo of one stage driven by an ideal coherent input."""
-    return run_chunks(chain_kernel([spec], mean), 1, trials, rng)
+    return run_chunks(*chain_kernel([spec], mean), trials, rng)
 
 
 def simulate_cascade(total_gain: float, stages: int, trials: int, rng: RngStream,
@@ -213,4 +213,4 @@ def simulate_cascade(total_gain: float, stages: int, trials: int, rng: RngStream
     Each stage has intensity gain total_gain**(1/stages); the measured output
     variance should match the single-stage law for the total gain.
     """
-    return run_chunks(chain_kernel(equal_stages(total_gain, stages), mean), stages, trials, rng)
+    return run_chunks(*chain_kernel(equal_stages(total_gain, stages), mean), trials, rng)

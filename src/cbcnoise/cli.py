@@ -25,7 +25,6 @@ from .coherent import VAR_COH
 from .combining import predict_output, sql_phase_variance, xi_threshold
 from .amplifier import KINDS, AmplifierSpec, NoiseBudget, predict_variance
 from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
-from .phaselock import FeedbackConfig
 
 _UNIT_RULES = (
     ("N", "beam count"),
@@ -78,13 +77,14 @@ def _render_value(value) -> str:
 
 
 def format_csv(records, title: str) -> str:
-    columns = list(records[0])
+    """CSV of the union of the records' columns in first-seen order; "" marks a gap."""
+    columns = list(dict.fromkeys(col for rec in records for col in rec))
     lines = [f"# {title}"]
     for col in columns:
         lines.append(f"# {col}: {_unit_for(col)}")
     lines.append(",".join(columns))
     for rec in records:
-        lines.append(",".join(_render_value(rec[col]) for col in columns))
+        lines.append(",".join(_render_value(rec.get(col, "")) for col in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -103,10 +103,8 @@ def write_output(records, title: str, path, fmt: str):
         fh.write(text)
 
 
-def _print_table(records, keys=None):
-    if not records:
-        return
-    keys = keys or list(records[0])
+def _print_table(records):
+    keys = list(records[0])
     rows = [[_render_value(rec.get(k, "")) for k in keys] for rec in records]
     widths = [max(len(k), *(len(r[i]) for r in rows)) for i, k in enumerate(keys)]
     print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
@@ -131,7 +129,7 @@ def cmd_predict(args) -> int:
             "xi": config.xi, "phase_var": config.phase_var,
             "mean_amplitude": pred.mean_amplitude,
             "var_x": pred.var_x, "var_p": pred.var_p,
-            "var_x_units": pred.var_x / VAR_COH, "var_p_units": pred.var_p / VAR_COH,
+            "var_x_units": pred.var_x_units, "var_p_units": pred.var_p_units,
             "excess_x": pred.excess_x, "excess_p": pred.excess_p,
         })
     if "amp" in chosen:
@@ -151,14 +149,6 @@ def cmd_predict(args) -> int:
         _print_table([rec])
         print()
     if args.out:
-        if len({tuple(r) for r in records}) > 1 and args.format == "csv":
-            # heterogeneous records: pad to the union of columns for CSV
-            columns = []
-            for rec in records:
-                for key in rec:
-                    if key not in columns:
-                        columns.append(key)
-            records = [{col: rec.get(col, "") for col in columns} for rec in records]
         write_output(records, "closed-form predictions", args.out, args.format)
     return 0
 
@@ -168,20 +158,13 @@ def cmd_predict(args) -> int:
 
 
 def _record(name: str, args, verb: str) -> dict:
-    """Grid record of experiment ``name`` from the flags named like its keys."""
+    """Grid record of experiment ``name`` from the flags named like its keys and options."""
     experiment = EXPERIMENTS[name]
     if any(getattr(args, key) is None for key in experiment.keys):
         flags = (("-" if len(key) == 1 else "--") + key.replace("_", "-") for key in experiment.keys)
         raise ValueError(f"{name} {verb} needs {' and '.join(flags)}")
-    return {key: getattr(args, key) for key in experiment.keys + experiment.options
-            if getattr(args, key) is not None}
-
-
-def _plan_from_args(args) -> ExperimentPlan:
-    return ExperimentPlan(
-        experiment=args.experiment, grid=(_record(args.experiment, args, "simulation"),),
-        trials=args.trials, master_seed=args.seed, tolerance_k=args.tolerance_k,
-    )
+    return {key: getattr(args, key) for key in (*experiment.keys, *experiment.options)
+            if getattr(args, key, None) is not None}
 
 
 def _simulate_records(result) -> list:
@@ -215,7 +198,8 @@ def cmd_simulate(args) -> int:
     else:
         if args.experiment is None:
             raise ValueError("name an experiment or give --plan")
-        plan = _plan_from_args(args)
+        plan = ExperimentPlan(args.experiment, (_record(args.experiment, args, "simulation"),),
+                              args.trials, args.seed, args.tolerance_k)
     result = run_plan(plan, workers=args.workers)
     records = _simulate_records(result)
     _print_table(records)
@@ -232,7 +216,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    xis = [float(x) for x in args.xi.split(",")] if isinstance(args.xi, str) else [1.0]
+    xis = [float(x) for x in args.xi.split(",")]
     if args.N_max < args.N_min:
         raise ValueError("empty N range")
     records = []
@@ -278,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--threshold", action="store_true", help="break-even accuracy factor")
     p_predict.add_argument("-N", type=int, help="number of beams")
     p_predict.add_argument("-n", type=float, help="photons per beam")
-    p_predict.add_argument("--xi", type=float, default=1.0,
-                           help="phase accuracy factor in quantum-limit units (default 1)")
+    p_predict.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
+                           help="phase accuracy factor in quantum-limit units "
+                                "(default %(default)s)")
     p_predict.add_argument("--phase-var", type=float, dest="phase_var",
                            help="phase variance in rad^2 (overrides --xi)")
     p_predict.add_argument("-G", type=float, help="amplifier intensity gain (default N)")
@@ -291,26 +276,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
     p_sim.add_argument("-N", type=int, help="number of beams (or gamma terms)")
     p_sim.add_argument("-n", type=float, help="photons per beam")
-    p_sim.add_argument("--xi", type=float, default=1.0,
-                       help="phase accuracy factor (default 1)")
+    p_sim.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
+                       help="phase accuracy factor (default %(default)s)")
     p_sim.add_argument("--phase-var", type=float, dest="phase_var",
                        help="phase variance in rad^2 (overrides --xi)")
     p_sim.add_argument("-G", type=float, help="amplifier intensity gain")
-    p_sim.add_argument("--stages", type=int, default=1, help="cascade stage count (default 1)")
-    p_sim.add_argument("--kind", choices=KINDS,
-                       default="quantum_limited", help="amplifier model (default quantum_limited)")
-    p_sim.add_argument("--drift-var", type=float, dest="drift_var", default=0.0,
+    p_sim.add_argument("--stages", type=int, default=EXPERIMENTS["cascade"].options["stages"],
+                       help="cascade stage count (default %(default)s)")
+    p_sim.add_argument("--kind", choices=KINDS, default=EXPERIMENTS["amp"].options["kind"],
+                       help="amplifier model (default %(default)s)")
+    lock = EXPERIMENTS["lock"].options
+    p_sim.add_argument("--drift-var", type=float, dest="drift_var", default=lock["drift_var"],
                        help="lock: per-interval phase drift variance in rad^2")
-    p_sim.add_argument("--gain", type=float, default=FeedbackConfig.controller_gain,
+    p_sim.add_argument("--gain", type=float, default=lock["gain"],
                        help="lock: controller gain")
-    p_sim.add_argument("--intervals", type=int, default=100, help="lock: correction intervals")
-    p_sim.add_argument("--init-spread", type=float, dest="init_spread", default=0.0,
+    p_sim.add_argument("--intervals", type=int, default=lock["intervals"],
+                       help="lock: correction intervals")
+    p_sim.add_argument("--init-spread", type=float, dest="init_spread",
+                       default=lock["init_spread"],
                        help="lock: initial alternating phase offset in rad")
-    p_sim.add_argument("--trials", type=float, default=100_000,
-                       help="Monte Carlo trials per grid point (default 1e5)")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k", default=5.0,
-                       help="acceptance band half-width in standard errors (default 5)")
+    p_sim.add_argument("--trials", type=float, default=ExperimentPlan.trials,
+                       help="Monte Carlo trials per grid point (default %(default)s)")
+    p_sim.add_argument("--seed", type=int, default=ExperimentPlan.master_seed,
+                       help="master seed (default %(default)s)")
+    p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k",
+                       default=ExperimentPlan.tolerance_k,
+                       help="acceptance band half-width in standard errors (default %(default)s)")
     p_sim.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -328,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "trials"):
-        args.trials = int(args.trials)
     if getattr(args, "phase_var", None) is not None:
         args.xi = None  # --phase-var overrides --xi
     try:

@@ -34,7 +34,6 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
-_CHUNK_MIN = 1 << 10
 
 
 def photon_number(alpha):
@@ -110,8 +109,6 @@ class QuadratureStats:
     mean_p: float
     var_x: float
     var_p: float
-    se_var_x: float
-    se_var_p: float
     trials: int
 
     @property
@@ -122,6 +119,14 @@ class QuadratureStats:
     def se_mean_p(self) -> float:
         return math.sqrt(self.var_p / self.trials)
 
+    @property
+    def se_var_x(self) -> float:
+        return self.var_x * math.sqrt(2.0 / (self.trials - 1))
+
+    @property
+    def se_var_p(self) -> float:
+        return self.var_p * math.sqrt(2.0 / (self.trials - 1))
+
 
 def estimate_stats(samples) -> QuadratureStats:
     """Estimate QuadratureStats from an ensemble of complex field samples."""
@@ -131,16 +136,11 @@ def estimate_stats(samples) -> QuadratureStats:
         raise ValueError("insufficient data: need at least 2 samples")
     x = a.real
     p = a.imag
-    var_x = float(np.var(x, ddof=1))
-    var_p = float(np.var(p, ddof=1))
-    se_scale = math.sqrt(2.0 / (n - 1))
     return QuadratureStats(
         mean_x=float(np.mean(x)),
         mean_p=float(np.mean(p)),
-        var_x=var_x,
-        var_p=var_p,
-        se_var_x=var_x * se_scale,
-        se_var_p=var_p * se_scale,
+        var_x=float(np.var(x, ddof=1)),
+        var_p=float(np.var(p, ddof=1)),
         trials=n,
     )
 
@@ -167,14 +167,15 @@ def merge_stats(a: QuadratureStats, b: QuadratureStats) -> QuadratureStats:
 
     mean_x, var_x = pooled(a.mean_x, a.var_x, b.mean_x, b.var_x)
     mean_p, var_p = pooled(a.mean_p, a.var_p, b.mean_p, b.var_p)
-    se_scale = math.sqrt(2.0 / (n - 1))
-    return QuadratureStats(mean_x, mean_p, var_x, var_p,
-                           var_x * se_scale, var_p * se_scale, n)
+    return QuadratureStats(mean_x, mean_p, var_x, var_p, n)
 
 
 def chunk_trials(width: int) -> int:
-    """Trials per chunk for ensembles whose trials each need ``width`` draws."""
-    return min(_CHUNK_MAX, max(_CHUNK_MIN, _CHUNK_BUDGET // max(1, int(width))))
+    """Trials per chunk for ensembles whose trials each need ``width`` draws.
+
+    At most _CHUNK_BUDGET elements, except that a chunk holds at least one trial.
+    """
+    return min(_CHUNK_MAX, max(1, _CHUNK_BUDGET // int(width)))
 
 
 def _run_chunk(kernel, count, stream):
@@ -182,7 +183,7 @@ def _run_chunk(kernel, count, stream):
     if count == 1:
         # a one-trial last chunk has no spread; merge_stats needs only its mean
         z = complex(np.ravel(samples)[0])
-        return QuadratureStats(z.real, z.imag, 0.0, 0.0, 0.0, 0.0, 1)
+        return QuadratureStats(z.real, z.imag, 0.0, 0.0, 1)
     return estimate_stats(samples)
 
 

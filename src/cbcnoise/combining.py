@@ -212,8 +212,8 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
 
 
 def cbc_kernel(config: CbcConfig):
-    """Chunk kernel for ``run_chunks``: combined-port samples of ``config``."""
-    return lambda count, gen: sample_cbc_outputs(config, count, gen)
+    """(kernel, width) for ``run_chunks``: combined-port samples of ``config``, N wide."""
+    return (lambda count, gen: sample_cbc_outputs(config, count, gen)), config.n_beams
 
 
 def simulate_cbc(config: CbcConfig, trials: int, rng: RngStream) -> QuadratureStats:
@@ -222,11 +222,11 @@ def simulate_cbc(config: CbcConfig, trials: int, rng: RngStream) -> QuadratureSt
     Runs through ``run_chunks``, so the result is bit-identical for any
     degree of parallelism that respects its chunk layout.
     """
-    return run_chunks(cbc_kernel(config), config.n_beams, trials, rng)
+    return run_chunks(*cbc_kernel(config), trials, rng)
 
 
 def gamma_sum_kernel(n_terms: int, phase_var: float):
-    """Chunk kernel for ``run_chunks``: one sum(psi_k^2) over k = 1..N per trial.
+    """(kernel, width) for ``run_chunks``: one sum(psi_k^2) over k = 1..N per trial, N wide.
 
     The phases are independent zero-mean Gaussians of variance phase_var;
     each sum is returned as a real sample, so it lands in the x quadrature
@@ -234,14 +234,14 @@ def gamma_sum_kernel(n_terms: int, phase_var: float):
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
-    if phase_var <= 0:
-        raise ValueError("phase variance must be positive")
+    if not 0.0 < phase_var < math.inf:
+        raise ValueError("phase variance must be positive and finite")
     sigma = math.sqrt(phase_var)
 
     def kernel(count, gen):
         psi = gen.normal(scale=sigma, size=(count, n_terms))
         return np.einsum("ij,ij->i", psi, psi)
-    return kernel
+    return kernel, n_terms
 
 
 def gamma_sum_statistics(n_terms: int, phase_var: float, trials: int, rng: RngStream):
@@ -251,5 +251,5 @@ def gamma_sum_statistics(n_terms: int, phase_var: float, trials: int, rng: RngSt
     with shape N/2 and scale 2*phase_var, so the mean is N*phase_var and the
     variance 2*N*phase_var^2.  Returns (mean, variance).
     """
-    stats = run_chunks(gamma_sum_kernel(n_terms, phase_var), n_terms, trials, rng)
+    stats = run_chunks(*gamma_sum_kernel(n_terms, phase_var), trials, rng)
     return stats.mean_x, stats.var_x

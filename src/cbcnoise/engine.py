@@ -26,7 +26,9 @@ Plan files are flat key = value text, for example::
 
 Every ``grid.<name>`` key holds a comma-separated value list; the grid is
 the cross product in key order.  Numbers are parsed as int when they look
-like ints, float otherwise; anything else stays a string.
+like ints, float otherwise; anything else stays a string.  Each record must
+give its experiment's keys and may give its options, which default as in
+``EXPERIMENTS``; any other grid key is an error.
 """
 
 from __future__ import annotations
@@ -50,22 +52,34 @@ from . import phaselock as lock_mod
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """An experiment, grid records that give its keys and options, and run settings."""
+
     experiment: str
     grid: tuple
-    trials: int
-    master_seed: int
+    trials: int = 100_000
+    master_seed: int = 0
     tolerance_k: float = 5.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "tolerance_k", float(self.tolerance_k))
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
-        if self.tolerance_k <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance_k < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not self.grid:
             raise ValueError("empty grid")
         object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
+        experiment = EXPERIMENTS[self.experiment]
+        for record in self.grid:
+            problems = [f"missing key {key!r}" for key in experiment.keys if key not in record]
+            problems += [f"unknown key {key!r}" for key in record
+                         if key not in experiment.keys and key not in experiment.options]
+            if problems:
+                raise ValueError(f"{self.experiment} grid record {record}: {', '.join(problems)}")
 
 
 @dataclass(frozen=True)
@@ -121,21 +135,15 @@ def load_plan(path) -> ExperimentPlan:
                 scalars[key] = _parse_scalar(value)
     if "experiment" not in scalars:
         raise ValueError(f"{path}: missing experiment key")
-    if not grid_axes:
-        raise ValueError(f"{path}: no grid.* axes")
-    unknown = set(scalars) - {"experiment", "trials", "seed", "tolerance_k"}
+    settings = {"trials": "trials", "seed": "master_seed", "tolerance_k": "tolerance_k"}
+    unknown = set(scalars) - {"experiment", *settings}
     if unknown:
         raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}; "
                          "per-point settings belong on grid.* axes")
     names = list(grid_axes)
     grid = [dict(zip(names, combo)) for combo in itertools.product(*grid_axes.values())]
-    return ExperimentPlan(
-        experiment=str(scalars["experiment"]),
-        grid=tuple(grid),
-        trials=int(scalars.get("trials", 100_000)),
-        master_seed=int(scalars.get("seed", 0)),
-        tolerance_k=float(scalars.get("tolerance_k", 5.0)),
-    )
+    return ExperimentPlan(str(scalars.pop("experiment")), tuple(grid),
+                          **{settings[key]: value for key, value in scalars.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +153,20 @@ def load_plan(path) -> ExperimentPlan:
 class Experiment(NamedTuple):
     """One row of ``EXPERIMENTS``.
 
-    A chunked experiment (``width`` set) runs ``work(config)`` as the chunk
-    kernel of every chunk job; otherwise ``work(config, stream)`` is the
-    point's single task.  The command line builds a grid record from the
-    flags named like ``keys`` (required) and ``options``.
+    A point's jobs run in any order; their outputs merge in job order into
+    what ``score`` judges.
     """
 
     keys: tuple  # grid keys every point must give
-    options: tuple  # grid keys a point may give
-    config: Callable  # grid record -> validated configuration
-    width: Callable | None  # configuration -> draws per trial
-    work: Callable
+    options: dict  # grid keys a point may give -> default, or None for none
+    config: Callable  # grid record completed with the defaults -> configuration
+    jobs: Callable  # (config, trials, stream) -> list of zero-argument jobs
     score: Callable  # (config, output, trials, k) -> PointResult fields after config
+
+
+def _chunked(factory):
+    """Jobs of a Monte Carlo point: the chunks of the (kernel, width) of factory(config)."""
+    return lambda config, trials, stream: chunk_jobs(*factory(config), trials, stream)
 
 
 def _judged(stats, measured, predicted, se, k):
@@ -182,7 +192,7 @@ def _score_stats(predict, config, stats, trials, k):
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
     kwargs = dict(n_beams=int(record["N"]), photons=float(record["n"]))
-    if "phase_var" in record:
+    if record.get("phase_var") is not None:
         kwargs["phase_var"] = float(record["phase_var"])
     else:
         kwargs["xi"] = float(record["xi"])
@@ -201,8 +211,8 @@ def _amp_config(record):
     total_gain = float(record["G"])
     return total_gain, [amp_mod.AmplifierSpec(
         g=math.sqrt(total_gain),
-        kind=str(record.get("kind", "quantum_limited")),
-        n_cl=float(record.get("n_cl", 0.0)),
+        kind=str(record["kind"]),
+        n_cl=float(record["n_cl"]),
     )]
 
 
@@ -242,11 +252,11 @@ def _lock_config(record):
     config = lock_mod.FeedbackConfig(
         n_beams=int(record["N"]),
         photons=float(record["n"]),
-        drift_var=float(record.get("drift_var", 0.0)),
-        controller_gain=float(record.get("gain", lock_mod.FeedbackConfig.controller_gain)),
-        intervals=int(record.get("intervals", 100)),
+        drift_var=float(record["drift_var"]),
+        controller_gain=float(record["gain"]),
+        intervals=int(record["intervals"]),
     )
-    spread = float(record.get("init_spread", 0.0))
+    spread = float(record["init_spread"])
     init = None
     if spread:
         pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(config.n_beams)])
@@ -268,52 +278,51 @@ def _lock_score(lock, state, trials, k):
     return None, measured, {"sql": sql}, {}, {}, bool(passed)
 
 
+def _lock_jobs(lock, trials, stream):
+    # one task on the point's stream; run_feedback is looked up when it runs
+    return [lambda: lock_mod.run_feedback(lock[0], stream, initial_phases=lock[1])]
+
+
 _score_chain = functools.partial(_score_stats, _chain_predicted)  # amp and cascade
+_chain_jobs = _chunked(lambda chain: amp_mod.chain_kernel(chain[1]))
 
 EXPERIMENTS = {
-    "cbc": Experiment(("N", "n"), ("phase_var", "xi"), _cbc_config, lambda c: c.n_beams,
-                      cbc_mod.cbc_kernel, functools.partial(_score_stats, _cbc_predicted)),
-    "amp": Experiment(("G",), ("kind",), _amp_config, lambda c: len(c[1]),
-                      lambda c: amp_mod.chain_kernel(c[1]), _score_chain),
-    "cascade": Experiment(("G",), ("stages",), _cascade_config, lambda c: len(c[1]),
-                          lambda c: amp_mod.chain_kernel(c[1]), _score_chain),
-    "lock": Experiment(("N", "n"), ("drift_var", "gain", "intervals", "init_spread"),
-                       _lock_config, None,
-                       lambda c, stream: lock_mod.run_feedback(c[0], stream, initial_phases=c[1]),
-                       _lock_score),
-    "gamma": Experiment(("N", "phase_var"), (), lambda r: (int(r["N"]), float(r["phase_var"])),
-                        lambda c: c[0], lambda c: cbc_mod.gamma_sum_kernel(*c), _gamma_score),
+    "cbc": Experiment(("N", "n"), {"phase_var": None, "xi": 1.0}, _cbc_config,
+                      _chunked(cbc_mod.cbc_kernel),
+                      functools.partial(_score_stats, _cbc_predicted)),
+    "amp": Experiment(("G",), {"kind": amp_mod.AmplifierSpec.kind,
+                               "n_cl": amp_mod.AmplifierSpec.n_cl},
+                      _amp_config, _chain_jobs, _score_chain),
+    "cascade": Experiment(("G",), {"stages": 1}, _cascade_config, _chain_jobs, _score_chain),
+    "lock": Experiment(("N", "n"), {"drift_var": lock_mod.FeedbackConfig.drift_var,
+                                    "gain": lock_mod.FeedbackConfig.controller_gain,
+                                    "intervals": lock_mod.FeedbackConfig.intervals,
+                                    "init_spread": 0.0},
+                       _lock_config, _lock_jobs, _lock_score),
+    "gamma": Experiment(("N", "phase_var"), {}, lambda r: (int(r["N"]), float(r["phase_var"])),
+                        _chunked(lambda c: cbc_mod.gamma_sum_kernel(*c)), _gamma_score),
 }
-
-
-def _point_jobs(experiment: Experiment, config, trials: int, stream: RngStream) -> list:
-    if experiment.width is None:
-        return [functools.partial(experiment.work, config, stream)]
-    return chunk_jobs(experiment.work(config), experiment.width(config), trials, stream)
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     """Execute a plan and score every grid point.
 
-    All points' jobs form one list, run serially or on one thread pool.
+    All points' jobs form one list, run on one pool of ``workers`` threads.
     ``workers`` only controls scheduling; streams and merge order are fixed
     by the plan, so results are identical for any worker count.
     """
     experiment = EXPERIMENTS[plan.experiment]
     base = RngStream(plan.master_seed)
-    configs = [experiment.config(record) for record in plan.grid]
-    point_jobs = [_point_jobs(experiment, config, plan.trials, base.substream(p_idx))
+    # an option a record leaves out takes its default
+    configs = [experiment.config({**experiment.options, **record}) for record in plan.grid]
+    point_jobs = [experiment.jobs(config, plan.trials, base.substream(p_idx))
                   for p_idx, config in enumerate(configs)]
-    jobs = [job for per_point in point_jobs for job in per_point]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = iter(list(pool.map(lambda job: job(), jobs)))
-    else:
-        outputs = iter([job() for job in jobs])
-    points = []
-    for record, config, per_point in zip(plan.grid, configs, point_jobs):
-        # a chunked point merges its chunks in order; a task point has one output
-        output = functools.reduce(merge_stats, itertools.islice(outputs, len(per_point)))
-        scored = experiment.score(config, output, plan.trials, plan.tolerance_k)
-        points.append(PointResult(dict(record), *scored))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outputs = pool.map(lambda job: job(), [job for jobs in point_jobs for job in jobs])
+        points = []
+        for record, config, jobs in zip(plan.grid, configs, point_jobs):
+            # a point's outputs merge in job order; a lock point has one output
+            output = functools.reduce(merge_stats, itertools.islice(outputs, len(jobs)))
+            scored = experiment.score(config, output, plan.trials, plan.tolerance_k)
+            points.append(PointResult(dict(record), *scored))
     return ExperimentResult(plan, tuple(points))

@@ -221,3 +221,54 @@ def test_simulate_cbc_columns(tmp_path, flags, column, value):
     assert list(rows[0])[:7] == ["experiment", "seed", "trials", "tolerance_k", "N", "n", column]
     assert list(rows[0])[7] == "measured_mean_x"
     assert rows[0][column] == value
+
+
+def write_plan(tmp_path, text):
+    path = tmp_path / "plan.txt"
+    path.write_text(text)
+    return path
+
+
+def test_plan_missing_grid_key_exits_two(tmp_path, capsys):
+    path = write_plan(tmp_path, "experiment = cbc\ntrials = 1000\ngrid.n = 100\n")
+    assert main(["simulate", "--plan", str(path)]) == 2
+    assert "missing key 'N'" in capsys.readouterr().err
+
+
+def test_plan_unknown_grid_key_exits_two(tmp_path, capsys):
+    path = write_plan(tmp_path, "experiment = lock\ngrid.N = 2\ngrid.n = 1000\ngrid.intervls = 5\n")
+    assert main(["simulate", "--plan", str(path)]) == 2
+    assert "unknown key 'intervls'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan_text,flags", [
+    ("experiment = cbc\ngrid.N = 2\ngrid.n = 1000\n", ["cbc", "-N", "2", "-n", "1000"]),
+    ("experiment = cascade\ngrid.G = 16\n", ["cascade", "-G", "16"]),
+], ids=["cbc-without-xi", "cascade-without-stages"])
+def test_plan_without_options_runs_as_the_flags(tmp_path, plan_text, flags):
+    # the plan leaves out cbc's xi or cascade's stages; both take the
+    # defaults the flags take
+    common = ["--trials", "20000", "--seed", "4", "--format", "json"]
+    path = write_plan(tmp_path, plan_text + "trials = 20000\nseed = 4\n")
+    plan_out, flag_out = tmp_path / "plan.json", tmp_path / "flags.json"
+    assert main(["simulate", "--plan", str(path), "--format", "json", "--out", str(plan_out)]) == 0
+    assert main(["simulate", *flags, *common, "--out", str(flag_out)]) == 0
+    plan_rec = json.loads(plan_out.read_text())["records"][0]
+    flag_rec = json.loads(flag_out.read_text())["records"][0]
+    measured = [k for k in flag_rec if k.startswith(("measured_", "predicted_", "se_", "z_"))]
+    assert measured
+    assert {k: plan_rec[k] for k in measured} == {k: flag_rec[k] for k in measured}
+
+
+def test_workers_below_one_exit_two(capsys):
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
+                 "--workers", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_predict_csv_pads_missing_columns(tmp_path):
+    out_path = tmp_path / "pred.csv"
+    assert main(["predict", "-N", "3", "-n", "100", "--out", str(out_path)]) == 0
+    _, rows = read_csv(out_path)
+    assert [r["kind"] for r in rows] == ["cbc", "amp", "threshold"]
+    assert rows[0]["G"] == "" and rows[1]["G"] == "3.0" and rows[2]["xi_star"] == "2.0"

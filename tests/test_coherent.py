@@ -73,6 +73,18 @@ def test_estimate_stats_against_numpy():
     assert stats.se_mean_x == pytest.approx(math.sqrt(stats.var_x / 1000), rel=1e-12)
 
 
+def test_standard_errors_are_derived_not_stored():
+    from dataclasses import fields
+
+    from cbcnoise import QuadratureStats
+
+    names = [f.name for f in fields(QuadratureStats)]
+    assert names == ["mean_x", "mean_p", "var_x", "var_p", "trials"]
+    stats = QuadratureStats(0.0, 0.0, 2.0, 0.5, 9)
+    assert stats.se_var_x == 2.0 * math.sqrt(2 / 8)
+    assert stats.se_var_p == 0.5 * math.sqrt(2 / 8)
+
+
 def test_estimate_stats_needs_two_samples():
     with pytest.raises(ValueError):
         estimate_stats(np.array([1 + 1j]))

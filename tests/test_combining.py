@@ -204,11 +204,26 @@ def test_gamma_sum_statistics():
 
 
 def test_chunk_trials_bounds():
-    # wide per-trial records get smaller chunks, never below 1024 trials
+    # wide per-trial records get smaller chunks, down to one trial
     assert chunk_trials(1) == 65536
     assert chunk_trials(6) == 65536
     assert chunk_trials(100) == 2 ** 21 // 100
-    assert chunk_trials(10_000) == 1024
+    assert chunk_trials(10_000) == 2 ** 21 // 10_000
+
+
+@pytest.mark.parametrize("width", [1, 2048, 4096, 65536, 2 ** 21])
+def test_chunk_trials_within_budget(width):
+    from cbcnoise.coherent import _CHUNK_BUDGET
+
+    assert 1 <= chunk_trials(width)
+    assert chunk_trials(width) * width <= _CHUNK_BUDGET
+
+
+def test_chunk_holds_one_trial_above_budget():
+    from cbcnoise.coherent import _CHUNK_BUDGET
+
+    assert chunk_trials(_CHUNK_BUDGET + 1) == 1
+    assert chunk_trials(4 * _CHUNK_BUDGET) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 17, 64, 257, 1024])

@@ -156,3 +156,62 @@ def test_tolerance_calibration_over_seeds():
         assert within[name] >= 99, f"{name}: only {within[name]} of {seeds} inside the band"
         # mean z stays near zero when the standard errors are honest
         assert abs(z_sum[name] / seeds) <= 0.5, f"{name}: biased z"
+
+
+@pytest.mark.parametrize("experiment,record", [
+    ("amp", {"G": 4.0, "kind": "quantum_limited"}),
+    ("amp", {"G": 4.0, "kind": "measure_prepare"}),
+    ("amp", {"G": 4.0, "kind": "phase_sensitive"}),
+    ("cascade", {"G": 16.0, "stages": 4}),
+    ("gamma", {"N": 10, "phase_var": 0.01}),
+])
+def test_run_plan_matches_library(experiment, record):
+    # each kernel states its chunk width once, so the runner and the
+    # library function lay out the same chunks on substream(0)
+    from cbcnoise import AmplifierSpec, gamma_sum_statistics, simulate_amplifier, simulate_cascade
+
+    trials, stream = 70_001, RngStream(5).substream(0)
+    point = run_plan(ExperimentPlan(experiment, (record,), trials, 5)).points[0]
+    if experiment == "amp":
+        spec = AmplifierSpec(g=math.sqrt(record["G"]), kind=record["kind"])
+        assert point.stats == simulate_amplifier(spec, trials, stream)
+    elif experiment == "cascade":
+        assert point.stats == simulate_cascade(record["G"], record["stages"], trials, stream)
+    else:
+        direct = gamma_sum_statistics(record["N"], record["phase_var"], trials, stream)
+        assert (point.measured["mean"], point.measured["variance"]) == direct
+
+
+@pytest.mark.parametrize("experiment,record,message", [
+    ("cbc", {"n": 100, "xi": 1.0}, "missing key 'N'"),
+    ("gamma", {"N": 4}, "missing key 'phase_var'"),
+    ("lock", {"N": 2, "n": 100.0, "intervls": 5}, "unknown key 'intervls'"),
+    ("amp", {"G": 4.0, "stages": 2}, "unknown key 'stages'"),
+], ids=["cbc-without-N", "gamma-without-phase_var", "lock-typo", "amp-with-stages"])
+def test_plan_records_checked_against_the_table(experiment, record, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan(experiment, (record,), 1000, 0)
+
+
+def test_plan_options_take_their_defaults():
+    # a record without options runs as the one that spells the defaults out
+    from cbcnoise import FeedbackConfig
+
+    lock = {"N": 3, "n": 1000.0}
+    spelled = {**lock, "drift_var": 0.0, "gain": FeedbackConfig.controller_gain,
+               "intervals": 100, "init_spread": 0.0}
+    for experiment, short, full in [("cbc", {"N": 4, "n": 100}, {"N": 4, "n": 100, "xi": 1.0}),
+                                    ("amp", {"G": 3.0}, {"G": 3.0, "kind": "quantum_limited",
+                                                         "n_cl": 0.0}),
+                                    ("cascade", {"G": 4.0}, {"G": 4.0, "stages": 1}),
+                                    ("lock", lock, spelled)]:
+        a = run_plan(ExperimentPlan(experiment, (short,), 5000, 3)).points[0]
+        b = run_plan(ExperimentPlan(experiment, (full,), 5000, 3)).points[0]
+        assert a.config == short  # the record keeps exactly the keys it was given
+        assert (a.stats, a.measured) == (b.stats, b.measured)
+
+
+def test_run_plan_needs_a_worker():
+    plan = ExperimentPlan("cbc", ({"N": 2, "n": 100, "xi": 1.0},), 1000, 0)
+    with pytest.raises(ValueError):
+        run_plan(plan, workers=0)

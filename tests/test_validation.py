@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from cbcnoise import AmplifierSpec, CbcConfig, FeedbackConfig
+from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, RngStream
+from cbcnoise import gamma_sum_statistics
 from cbcnoise.cli import main
 
 CBC_XI = {"n_beams": 2, "photons": 100.0, "xi": 1.0}
@@ -36,4 +37,28 @@ def test_non_finite_field_rejected(cls, kwargs, name, bad):
 
 def test_cli_rejects_nan_xi(capsys):
     assert main(["predict", "--cbc", "-N", "2", "-n", "100", "--xi", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plan_rejects_non_finite_tolerance(bad):
+    ExperimentPlan("cbc", ({"N": 2, "n": 100, "xi": 1.0},), 1000, 0, tolerance_k=5.0)
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentPlan("cbc", ({"N": 2, "n": 100, "xi": 1.0},), 1000, 0, tolerance_k=bad)
+
+
+def test_cli_rejects_nan_tolerance(capsys):
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
+                 "--tolerance-k", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gamma_rejects_non_finite_phase_var(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gamma_sum_statistics(4, bad, 1000, RngStream(0))
+
+
+def test_cli_rejects_nan_gamma_phase_var(capsys):
+    assert main(["simulate", "gamma", "-N", "4", "--phase-var", "nan", "--trials", "1000"]) == 2
     assert "finite" in capsys.readouterr().err
