@@ -6,6 +6,8 @@ comparison, a click-driven phase-lock feedback loop, and a deterministic
 experiment engine behind the ``cbcnoise`` command line tool.
 """
 
+import types
+
 from .coherent import (
     VAR_COH,
     QuadratureStats,
@@ -59,45 +61,6 @@ from .engine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "VAR_COH",
-    "QuadratureStats",
-    "RngStream",
-    "estimate_stats",
-    "merge_stats",
-    "photon_number",
-    "quadratures",
-    "sample_coherent",
-    "CbcConfig",
-    "CbcPrediction",
-    "SmallAngleWarning",
-    "combine_port_amplitude",
-    "dft",
-    "error_photon_number",
-    "error_signals",
-    "gamma_sum_statistics",
-    "inverse_dft",
-    "predict_output",
-    "simulate_cbc",
-    "sql_phase_variance",
-    "xi_threshold",
-    "AmplifierSpec",
-    "NoiseBudget",
-    "amplify_classical_input",
-    "amplify_sample",
-    "cascade",
-    "predict_variance",
-    "simulate_amplifier",
-    "simulate_cascade",
-    "FeedbackConfig",
-    "LockState",
-    "min_detectable_phase_var",
-    "run_feedback",
-    "simulate_two_beam_clicks",
-    "two_beam_click_rate",
-    "ExperimentPlan",
-    "ExperimentResult",
-    "PointResult",
-    "load_plan",
-    "run_plan",
-]
+# the imports above are the public API
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, as_generator, run_chunks
+from .coherent import _SIGMA_COH, VAR_COH, QuadratureStats, RngStream, as_generator, run_chunks
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -105,15 +105,15 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     if spec.kind == "phase_sensitive":
         out = g * a.real + 1j * a.imag / g
     elif spec.kind == "quantum_limited":
-        vx = gen.normal(scale=0.5, size=shape)
-        vp = gen.normal(scale=0.5, size=shape)
+        vx = gen.normal(scale=_SIGMA_COH, size=shape)
+        vp = gen.normal(scale=_SIGMA_COH, size=shape)
         out = g * a + math.sqrt(g * g - 1.0) * (vx - 1j * vp)
     else:  # measure_prepare
-        mx = gen.normal(scale=0.5, size=shape)
-        mp = gen.normal(scale=0.5, size=shape)
+        mx = gen.normal(scale=_SIGMA_COH, size=shape)
+        mp = gen.normal(scale=_SIGMA_COH, size=shape)
         record = a + mx + 1j * mp
-        vx = gen.normal(scale=0.5, size=shape)
-        vp = gen.normal(scale=0.5, size=shape)
+        vx = gen.normal(scale=_SIGMA_COH, size=shape)
+        vp = gen.normal(scale=_SIGMA_COH, size=shape)
         out = g * record + vx + 1j * vp
     if spec.n_cl > 0:
         # classical excess worth 2*G*n_cl vacuum units, split over quadratures
@@ -167,11 +167,11 @@ def equal_stages(total_gain: float, stages: int) -> list:
     return [AmplifierSpec(g=total_gain ** (1.0 / (2.0 * stages)))] * stages
 
 
-def chain_kernel(chain, mean=1.0, sigma=0.5):
+def chain_kernel(chain, mean=1.0, sigma=_SIGMA_COH):
     """(kernel, width) for ``run_chunks``: a Gaussian input through a chain.
 
     Each trial draws an input field about ``mean`` with per-quadrature
-    standard deviation ``sigma`` (0.5 is the coherent state), x block
+    standard deviation ``sigma`` (the default is the coherent state), x block
     before p block, then passes it through the specs of ``chain`` in
     order, all on the same generator.  The width is the stage count.
     """

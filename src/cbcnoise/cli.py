@@ -22,50 +22,45 @@ import math
 import sys
 
 from .coherent import VAR_COH
-from .combining import predict_output, sql_phase_variance, xi_threshold
+from .combining import CbcConfig, predict_output, xi_threshold
 from .amplifier import KINDS, AmplifierSpec, NoiseBudget, predict_variance
 from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
 
-_UNIT_RULES = (
-    ("N", "beam count"),
-    ("n", "photons per beam"),
-    ("G", "intensity gain"),
-    ("stages", "stage count"),
-    ("xi", "multiples of the quantum-limit phase variance"),
-    ("xi_star", "multiples of the quantum-limit phase variance"),
-    ("phase_var", "rad^2"),
-    ("drift_var", "rad^2 per interval"),
-    ("gain", "dimensionless controller gain"),
-    ("intervals", "count"),
-    ("init_spread", "rad"),
-    ("trials", "count"),
-    ("seed", "master seed"),
-    ("tolerance_k", "standard errors"),
-    ("workers", "count"),
-    ("passed", "1 = inside band"),
-    ("clicks", "photon count"),
-    ("sql", "rad^2"),
-    ("steady_ratio", "Var(psi) over the quantum limit"),
-    ("final_var", "rad^2"),
-    ("cbc_worse", "1 = combining noisier than one amplifier"),
-)
+# Unit of every column the commands write, and of every quantity named
+# after a measured_, predicted_ or se_ prefix; each text is written once.
+_STANDARD_ERRORS = "standard errors"
+_UNITS = {column: unit for unit, columns in (
+    ("dimensionless", "experiment kind n_cl"),
+    ("beam count", "N"),
+    ("photons per beam", "n"),
+    ("intensity gain", "G"),
+    ("stage count", "stages"),
+    ("multiples of the quantum-limit phase variance", "xi xi_star"),
+    ("rad", "init_spread"),
+    ("rad^2", "phase_var final_var sql mean"),
+    ("rad^4", "variance"),
+    ("rad^2 per interval", "drift_var"),
+    ("dimensionless controller gain", "gain"),
+    ("count", "intervals trials"),
+    ("master seed", "seed"),
+    (_STANDARD_ERRORS, "tolerance_k"),
+    ("1 = inside band", "passed"),
+    ("photon count", "clicks"),
+    ("Var(psi) over the quantum limit", "steady_ratio"),
+    ("1 = combining noisier than one amplifier", "cbc_worse"),
+    ("field amplitude, sqrt(photons)", "mean_amplitude mean_x mean_p"),
+    (f"absolute quadrature variance (vacuum = {VAR_COH})", "var var_x var_p excess_x excess_p"),
+    (f"quadrature variance, multiples of {VAR_COH}",
+     "var_units var_x_units var_p_units cbc_var_p_units amp_var_units"),
+) for column in columns.split()}
 
 
 def _unit_for(column: str) -> str:
-    for name, text in _UNIT_RULES:
-        if column == name:
-            return text
-    if column.endswith("_units"):
-        return f"quadrature variance, multiples of {VAR_COH}"
-    if column.startswith("z_"):
-        return "standard errors"
-    if column.startswith("se_"):
-        return "same units as the measured quantity"
-    if "mean" in column and "amplitude" in column or column.startswith(("mean_", "measured_mean")):
-        return "field amplitude, sqrt(photons)"
-    if "var" in column or "excess" in column:
-        return f"absolute quadrature variance (vacuum = {VAR_COH})"
-    return "dimensionless"
+    """Unit of ``column``; a column missing from ``_UNITS`` raises KeyError."""
+    prefix, _, quantity = column.partition("_")
+    if prefix == "z":
+        return _STANDARD_ERRORS
+    return _UNITS[quantity if prefix in ("measured", "predicted", "se") else column]
 
 
 def _render_value(value) -> str:
@@ -91,7 +86,7 @@ def format_csv(records, title: str) -> str:
 def format_json(records, title: str) -> str:
     payload = {
         "title": title,
-        "units": {col: _unit_for(col) for col in records[0]},
+        "units": {col: _unit_for(col) for rec in records for col in rec},
         "records": records,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -116,6 +111,11 @@ def _print_table(records):
 # predict
 
 
+def _amplifier_budget(big_g) -> NoiseBudget:
+    """Output budget of a quantum-limited amplifier of intensity gain big_g on a coherent input."""
+    return predict_variance(AmplifierSpec(g=math.sqrt(big_g)), NoiseBudget(1.0))
+
+
 def cmd_predict(args) -> int:
     chosen = [name for name in ("cbc", "amp", "threshold") if getattr(args, name)]
     if not chosen:
@@ -136,7 +136,7 @@ def cmd_predict(args) -> int:
         big_g = args.G if args.G is not None else args.N
         if big_g is None:
             raise ValueError("amplifier prediction needs -G (or -N to default to G = N)")
-        budget = predict_variance(AmplifierSpec(g=math.sqrt(big_g)), NoiseBudget(1.0))
+        budget = _amplifier_budget(big_g)
         records.append({
             "kind": "amp", "G": float(big_g),
             "var": budget.total_variance, "var_units": budget.total_units,
@@ -221,17 +221,18 @@ def cmd_compare(args) -> int:
         raise ValueError("empty N range")
     records = []
     for n_beams in range(args.N_min, args.N_max + 1):
-        amp_units = 2.0 * n_beams - 1.0
+        amp_units = _amplifier_budget(n_beams).total_units
+        xi_star = xi_threshold(n_beams)
         for xi in xis:
-            cbc_units = 1.0 + 4.0 * xi / (n_beams - 1)
+            config = CbcConfig(n_beams, args.n, xi=xi)
             records.append({
                 "N": n_beams,
                 "xi": xi,
-                "phase_var": xi * sql_phase_variance(n_beams, args.n),
-                "cbc_var_p_units": cbc_units,
+                "phase_var": config.phase_var,
+                "cbc_var_p_units": predict_output(config).var_p_units,
                 "amp_var_units": amp_units,
-                "xi_star": xi_threshold(n_beams),
-                "cbc_worse": cbc_units > amp_units,
+                "xi_star": xi_star,
+                "cbc_worse": xi > xi_star,
             })
     _print_table(records)
     if args.out:

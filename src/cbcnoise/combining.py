@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, run_chunks
+from .coherent import _SIGMA_COH, VAR_COH, QuadratureStats, RngStream, run_chunks
 from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -205,8 +205,8 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     n_beams = config.n_beams
     shape = (count, n_beams)
     psi = gen.normal(scale=math.sqrt(config.phase_var), size=shape)
-    vac_x = gen.normal(scale=0.5, size=shape)
-    vac_p = gen.normal(scale=0.5, size=shape)
+    vac_x = gen.normal(scale=_SIGMA_COH, size=shape)
+    vac_p = gen.normal(scale=_SIGMA_COH, size=shape)
     fields = math.sqrt(config.photons) * np.exp(1j * psi) + vac_x + 1j * vac_p
     return fields.sum(axis=1) / math.sqrt(n_beams)
 

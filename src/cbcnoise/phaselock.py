@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import RngStream
+from .coherent import RngStream, photon_number
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -129,7 +129,7 @@ class LockState:
 
 def _click_means(phases: np.ndarray, photons: float) -> np.ndarray:
     eps = error_signals(np.exp(1j * phases))
-    return photons * (eps.real ** 2 + eps.imag ** 2)
+    return photons * photon_number(eps)
 
 
 def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) -> LockState:

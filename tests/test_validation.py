@@ -62,3 +62,16 @@ def test_gamma_rejects_non_finite_phase_var(bad):
 def test_cli_rejects_nan_gamma_phase_var(capsys):
     assert main(["simulate", "gamma", "-N", "4", "--phase-var", "nan", "--trials", "1000"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi,message", [("0.5", "quantum limit"), ("nan", "finite")])
+def test_compare_rejects_unphysical_xi(capsys, xi, message):
+    assert main(["compare", "--N-min", "2", "--N-max", "4", "-n", "1000", "--xi", xi]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_compare_rejects_one_beam(capsys):
+    assert main(["compare", "--N-min", "1", "--N-max", "3"]) == 2
+    assert "two beams" in capsys.readouterr().err
