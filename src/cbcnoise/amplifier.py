@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import _SIGMA_COH, VAR_COH, QuadratureStats, RngStream, as_generator, run_chunks
+from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, as_generator,
+                       gaussian_field, run_chunks)
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -94,31 +95,23 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     measure_prepare: simultaneous two-quadrature measurement (one extra
     vacuum unit), classical gain g on the record, re-preparation (one more
     unit).  phase_sensitive: x scaled by g, p by 1/g, nothing added.
-    Vacuum draws happen in a fixed order even when their weight is zero, so
-    the stream position does not depend on the gain value.
+    Vacuum and excess terms are ``gaussian_field`` draws in a fixed order,
+    even at zero weight, so the stream position does not depend on the gain.
     """
     gen = as_generator(rng)
     a = np.asarray(field, dtype=complex) if size is None else np.broadcast_to(
         np.asarray(field, dtype=complex), size if isinstance(size, tuple) else (size,))
-    shape = a.shape
     g = spec.g
     if spec.kind == "phase_sensitive":
         out = g * a.real + 1j * a.imag / g
     elif spec.kind == "quantum_limited":
-        vx = gen.normal(scale=_SIGMA_COH, size=shape)
-        vp = gen.normal(scale=_SIGMA_COH, size=shape)
-        out = g * a + math.sqrt(g * g - 1.0) * (vx - 1j * vp)
-    else:  # measure_prepare
-        mx = gen.normal(scale=_SIGMA_COH, size=shape)
-        mp = gen.normal(scale=_SIGMA_COH, size=shape)
-        record = a + mx + 1j * mp
-        vx = gen.normal(scale=_SIGMA_COH, size=shape)
-        vp = gen.normal(scale=_SIGMA_COH, size=shape)
-        out = g * record + vx + 1j * vp
+        idler = np.conj(gaussian_field(0.0, gen, shape=a.shape))
+        out = g * a + math.sqrt(g * g - 1.0) * idler
+    else:  # measure_prepare: measure with one vacuum, re-prepare with another
+        out = gaussian_field(g * gaussian_field(a, gen), gen)
     if spec.n_cl > 0:
         # classical excess worth 2*G*n_cl vacuum units, split over quadratures
-        sigma = math.sqrt(2.0 * spec.gain * spec.n_cl * VAR_COH)
-        out = out + gen.normal(scale=sigma, size=shape) + 1j * gen.normal(scale=sigma, size=shape)
+        out = gaussian_field(out, gen, math.sqrt(2.0 * spec.gain * spec.n_cl * VAR_COH))
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -170,15 +163,13 @@ def equal_stages(total_gain: float, stages: int) -> list:
 def chain_kernel(chain, mean=1.0, sigma=_SIGMA_COH):
     """(kernel, width) for ``run_chunks``: a Gaussian input through a chain.
 
-    Each trial draws an input field about ``mean`` with per-quadrature
-    standard deviation ``sigma`` (the default is the coherent state), x block
-    before p block, then passes it through the specs of ``chain`` in
+    Each trial draws an input field with ``gaussian_field`` about ``mean``
+    with per-quadrature standard deviation ``sigma`` (the default is the
+    coherent state), then passes it through the specs of ``chain`` in
     order, all on the same generator.  The width is the stage count.
     """
     def kernel(count, gen):
-        fields = (mean
-                  + gen.normal(scale=sigma, size=count)
-                  + 1j * gen.normal(scale=sigma, size=count))
+        fields = gaussian_field(mean, gen, sigma, count)
         for spec in chain:
             fields = amplify_sample(fields, spec, gen)
         return fields
@@ -186,31 +177,30 @@ def chain_kernel(chain, mean=1.0, sigma=_SIGMA_COH):
 
 
 def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
-                            rng: RngStream, mean=0.0) -> QuadratureStats:
+                            rng: RngStream) -> QuadratureStats:
     """Monte Carlo of one stage driven by a classically noisy input.
 
-    The input has per-quadrature variance ``input_var`` (at least the
-    coherent floor VAR_COH).  The interesting ratio is measured output
+    The zero-mean input has per-quadrature variance ``input_var`` (at least
+    the coherent floor VAR_COH).  The interesting ratio is measured output
     variance over G*input_var: it tends to one as the input noise swamps
     the amplifier's own contribution, which is why the quantum penalty only
     bites for clean inputs.
     """
     if input_var < VAR_COH:
         raise ValueError("input variance below the coherent floor is unphysical")
-    return run_chunks(*chain_kernel([spec], mean, math.sqrt(input_var)), trials, rng)
+    return run_chunks(*chain_kernel([spec], 0.0, math.sqrt(input_var)), trials, rng)
 
 
-def simulate_amplifier(spec: AmplifierSpec, trials: int, rng: RngStream,
-                       mean=1.0) -> QuadratureStats:
-    """Monte Carlo of one stage driven by an ideal coherent input."""
-    return run_chunks(*chain_kernel([spec], mean), trials, rng)
+def simulate_amplifier(spec: AmplifierSpec, trials: int, rng: RngStream) -> QuadratureStats:
+    """Monte Carlo of one stage driven by an ideal coherent input of amplitude 1."""
+    return run_chunks(*chain_kernel([spec], 1.0), trials, rng)
 
 
-def simulate_cascade(total_gain: float, stages: int, trials: int, rng: RngStream,
-                     mean=1.0) -> QuadratureStats:
-    """Monte Carlo of a chain of equal quantum-limited stages.
+def simulate_cascade(total_gain: float, stages: int, trials: int,
+                     rng: RngStream) -> QuadratureStats:
+    """Monte Carlo of equal quantum-limited stages on a coherent input of amplitude 1.
 
     Each stage has intensity gain total_gain**(1/stages); the measured output
     variance should match the single-stage law for the total gain.
     """
-    return run_chunks(*chain_kernel(equal_stages(total_gain, stages), mean), trials, rng)
+    return run_chunks(*chain_kernel(equal_stages(total_gain, stages), 1.0), trials, rng)

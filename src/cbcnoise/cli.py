@@ -30,7 +30,8 @@ from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
 # after a measured_, predicted_ or se_ prefix; each text is written once.
 _STANDARD_ERRORS = "standard errors"
 _UNITS = {column: unit for unit, columns in (
-    ("dimensionless", "experiment kind n_cl"),
+    ("name", "experiment kind"),
+    ("photons, input-referred", "n_cl"),
     ("beam count", "N"),
     ("photons per beam", "n"),
     ("intensity gain", "G"),
@@ -171,8 +172,9 @@ def _simulate_records(result) -> list:
     records = []
     plan = result.plan
     for point in result.points:
-        rec = {"experiment": plan.experiment, "seed": plan.master_seed,
-               "trials": plan.trials, "tolerance_k": plan.tolerance_k}
+        rec = {"experiment": plan.experiment, "seed": plan.master_seed}
+        if point.se:  # a point without standard errors ran no ensemble
+            rec.update(trials=plan.trials, tolerance_k=plan.tolerance_k)
         rec.update(point.config)
         for name, value in point.measured.items():
             rec[f"measured_{name}"] = value
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=lock["init_spread"],
                        help="lock: initial alternating phase offset in rad")
     p_sim.add_argument("--trials", type=float, default=ExperimentPlan.trials,
-                       help="Monte Carlo trials per grid point (default %(default)s)")
+                       help="Monte Carlo trials per point, unused by lock (default %(default)s)")
     p_sim.add_argument("--seed", type=int, default=ExperimentPlan.master_seed,
                        help="master seed (default %(default)s)")
     p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k",

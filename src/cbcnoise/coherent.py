@@ -80,18 +80,25 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
+def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None):
+    """``mean`` plus complex Gaussian noise of per-quadrature deviation ``sigma``.
+
+    The package's one field draw: an x block, then a p block, each of ``shape``
+    (default: the shape of ``mean``), so a stream always yields the same samples.
+    """
+    shape = np.shape(mean) if shape is None else shape
+    # x is drawn first (left to right); unnamed, each block is freed once added
+    return mean + gen.normal(scale=sigma, size=shape) + 1j * gen.normal(scale=sigma, size=shape)
+
+
 def sample_coherent(mean, rng, size=None):
     """Draw coherent-state field samples about a mean amplitude.
 
-    The x block is drawn before the p block so that a given stream always
-    produces the same samples.  With ``size=None`` the output matches the
-    shape of ``mean`` (a scalar mean gives a single complex number).
+    One ``gaussian_field`` draw at the vacuum level.  With ``size=None`` the
+    output matches the shape of ``mean`` (a scalar mean gives a single
+    complex number).
     """
-    gen = as_generator(rng)
-    shape = np.shape(mean) if size is None else size
-    gx = gen.normal(scale=_SIGMA_COH, size=shape)
-    gp = gen.normal(scale=_SIGMA_COH, size=shape)
-    out = np.asarray(mean) + gx + 1j * gp
+    out = gaussian_field(np.asarray(mean), as_generator(rng), shape=size)
     if np.ndim(out) == 0:
         return complex(out)
     return out

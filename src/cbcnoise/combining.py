@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import _SIGMA_COH, VAR_COH, QuadratureStats, RngStream, run_chunks
+from .coherent import VAR_COH, QuadratureStats, RngStream, gaussian_field, run_chunks
 from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -102,7 +102,7 @@ class CbcConfig:
                 f"phase_var={self.phase_var:.4g} exceeds the small-angle regime "
                 f"(> {SMALL_ANGLE_LIMIT}); quadratic predictors lose accuracy",
                 SmallAngleWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller, past the dataclass-generated __init__
             )
 
 
@@ -197,18 +197,16 @@ def predict_output(config: CbcConfig) -> CbcPrediction:
 def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) -> np.ndarray:
     """Draw ``count`` combined-port field samples with one generator.
 
-    Per trial: independent Gaussian phase errors on each beam, a fresh vacuum
-    fluctuation per beam, then the coherent-sum port of the exact fields
-    sqrt(n) * exp(1j*psi_k) + delta_a_k.  Draw order (phases, then vacuum x,
-    then vacuum p) is fixed so a given stream always yields the same ensemble.
+    Per trial: independent Gaussian phase errors on each beam, then one
+    ``gaussian_field`` draw of the beams about sqrt(n) * exp(1j*psi_k), then
+    the coherent-sum port.  The phases are drawn before the field, so a
+    given stream always yields the same ensemble.
     """
     n_beams = config.n_beams
-    shape = (count, n_beams)
-    psi = gen.normal(scale=math.sqrt(config.phase_var), size=shape)
-    vac_x = gen.normal(scale=_SIGMA_COH, size=shape)
-    vac_p = gen.normal(scale=_SIGMA_COH, size=shape)
-    fields = math.sqrt(config.photons) * np.exp(1j * psi) + vac_x + 1j * vac_p
-    return fields.sum(axis=1) / math.sqrt(n_beams)
+    psi = gen.normal(scale=math.sqrt(config.phase_var), size=(count, n_beams))
+    beams = math.sqrt(config.photons) * np.exp(1j * psi)
+    del psi  # the field draw is the chunk's memory peak; it needs no phases
+    return gaussian_field(beams, gen).sum(axis=1) / math.sqrt(n_beams)
 
 
 def cbc_kernel(config: CbcConfig):

@@ -66,8 +66,6 @@ class ExperimentPlan:
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "tolerance_k", float(self.tolerance_k))
-        if self.trials < 2:
-            raise ValueError("need at least 2 trials")
         if not 0.0 < self.tolerance_k < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if not self.grid:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import RngStream, photon_number
+from .coherent import RngStream, photon_number, run_chunks
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -66,14 +66,10 @@ def min_detectable_phase_var(photons: float, symmetrized: bool = False) -> float
 
 
 def simulate_two_beam_clicks(photons: float, dpsi: float, trials: int, rng: RngStream):
-    """Poisson click counts at the two-beam rate; returns (mean, se)."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    gen = rng.generator()
-    counts = gen.poisson(two_beam_click_rate(photons, dpsi), size=trials)
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(trials))
-    return mean, se
+    """Mean and SE of Poisson click counts at the two-beam rate, one per ``run_chunks`` trial."""
+    rate = two_beam_click_rate(photons, dpsi)
+    stats = run_chunks(lambda count, gen: gen.poisson(rate, size=count), 1, trials, rng)
+    return stats.mean_x, stats.se_mean_x
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,10 @@ class LockState:
     def variance_track(self) -> np.ndarray:
         return np.array([v for _, v in self.history])
 
-    def steady_state_ratio(self, config: FeedbackConfig, tail_fraction: float = 0.5) -> float:
-        """Tail-averaged Var(psi) over the single-interval quantum limit."""
+    def steady_state_ratio(self, config: FeedbackConfig) -> float:
+        """Var(psi) over the single-interval quantum limit, averaged over the last half."""
         track = self.variance_track()
-        tail = track[int(len(track) * (1.0 - tail_fraction)):]
+        tail = track[len(track) // 2:]
         sql = sql_phase_variance(config.n_beams, config.photons)
         return float(tail.mean() / sql)
 

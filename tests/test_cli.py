@@ -180,6 +180,26 @@ def test_simulate_lock_csv(tmp_path):
     assert float(row["measured_final_var"]) <= 10 * float(row["predicted_sql"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lock_records_carry_no_trial_settings(tmp_path, fmt):
+    # a lock point runs no ensemble, so it writes neither trials nor tolerance_k
+    out_path = tmp_path / f"lock.{fmt}"
+    assert main(DRIFT_FREE_LOCK + ["--trials", "1", "--format", fmt, "--out", str(out_path)]) == 0
+    if fmt == "json":
+        doc = json.loads(out_path.read_text())
+        columns = set(doc["units"]) | set(doc["records"][0])
+    else:
+        comments, rows = read_csv(out_path)
+        columns = set(rows[0]) | {line[2:].split(":")[0] for line in comments[1:]}
+    assert {"experiment", "seed", "N", "passed"} <= columns
+    assert not columns & {"trials", "tolerance_k"}
+
+
+def test_simulate_too_few_trials_exits_two(capsys):
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1"]) == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+
+
 def test_simulate_lock_default_gain_matches_library(tmp_path):
     from cbcnoise import FeedbackConfig
 

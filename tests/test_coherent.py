@@ -5,8 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from cbcnoise import VAR_COH, RngStream, estimate_stats, merge_stats, sample_coherent
-from cbcnoise.coherent import as_generator, photon_number, quadratures
+from cbcnoise import (
+    VAR_COH,
+    AmplifierSpec,
+    CbcConfig,
+    RngStream,
+    amplify_classical_input,
+    estimate_stats,
+    merge_stats,
+    sample_coherent,
+    simulate_amplifier,
+    simulate_cascade,
+    simulate_cbc,
+)
+from cbcnoise.coherent import as_generator, gaussian_field, photon_number, quadratures
 
 
 def test_var_coh_value():
@@ -38,6 +50,59 @@ def test_sample_coherent_is_deterministic():
     a = sample_coherent(0.5, RngStream(42), size=64)
     b = sample_coherent(0.5, RngStream(42), size=64)
     assert np.array_equal(a, b)
+
+
+def test_gaussian_field_draws_x_then_p():
+    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
+    z = gaussian_field(1.5 - 2j, gen, 3.0, (2, 4))
+    x, p = ref.normal(scale=3.0, size=(2, 4)), ref.normal(scale=3.0, size=(2, 4))
+    assert np.array_equal(z, 1.5 - 2j + x + 1j * p)
+    # the shape defaults to the mean's
+    assert gaussian_field(np.zeros(5), gen).shape == (5,)
+
+
+# (mean_x, mean_p, var_x, var_p, trials) of 5,001 trials on RngStream(606).
+# They pin the draw order of every sampler built on gaussian_field: a change
+# in the order of phases, x and p blocks, or stages changes them.
+PINNED_STATS = {
+    "cbc": (19.823924600254664, -0.021462272692213718, 0.2601520575417545,
+            1.873942571480992, 5001),
+    "amp_quantum_limited_0.0": (1.9597072276390743, 0.002474849422789023, 1.732145373948987,
+                                1.7108630862742529, 5001),
+    "amp_quantum_limited_0.3": (1.967595198215889, 0.002581452384303224, 2.372173262677027,
+                                2.3023529354304553, 5001),
+    "amp_measure_prepare_0.0": (1.959813123408459, 0.013152798786134418, 2.2576908234736757,
+                                2.336609926471636, 5001),
+    "amp_measure_prepare_0.3": (1.9349357328139893, 0.0016888049671412767, 2.9058661015306892,
+                                2.8912662993679303, 5001),
+    "amp_phase_sensitive_0.0": (1.9919357343791215, 0.0018496418118571683, 0.9988680948710232,
+                                0.06243244572346827, 5001),
+    "amp_phase_sensitive_0.3": (1.9631096816254994, 0.006253548915025826, 1.5833328900522914,
+                                0.6833080152773662, 5001),
+    "cascade": (3.928233474485286, 0.004830513111303756, 7.761265024551448,
+                7.5922805175659045, 5001),
+    "classical": (-0.07682172798594514, 0.014155304203743661, 10.894225553464787,
+                  10.776868295776081, 5001),
+}
+
+
+def pinned_case(name):
+    stream = RngStream(606)
+    if name == "cbc":
+        return simulate_cbc(CbcConfig(4, 100.0, xi=5.0), 5001, stream)
+    if name == "cascade":
+        return simulate_cascade(16.0, 2, 5001, stream)
+    if name == "classical":
+        return amplify_classical_input(AmplifierSpec(3.0), 1.0, 5001, stream)
+    kind, n_cl = name[len("amp_"):].rsplit("_", 1)
+    return simulate_amplifier(AmplifierSpec(2.0, kind, float(n_cl)), 5001, stream)
+
+
+@pytest.mark.parametrize("name", list(PINNED_STATS))
+def test_draw_order_is_pinned(name):
+    stats = pinned_case(name)
+    fields = (stats.mean_x, stats.mean_p, stats.var_x, stats.var_p, stats.trials)
+    assert repr(fields) == repr(PINNED_STATS[name])
 
 
 def test_substreams_are_distinct():

@@ -121,6 +121,12 @@ def test_large_phase_variance_warns():
         CbcConfig(n_beams=2, photons=100, phase_var=0.2)
 
 
+def test_small_angle_warning_names_the_caller():
+    with pytest.warns(SmallAngleWarning) as caught:
+        CbcConfig(n_beams=2, photons=100, phase_var=0.2)
+    assert caught[0].filename == __file__
+
+
 def test_small_phase_variance_does_not_warn():
     import warnings
     with warnings.catch_warnings():

@@ -59,7 +59,7 @@ def test_load_plan_rejects_malformed_input(tmp_path):
 def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan("teleportation", ({"N": 2},), 1000, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing key 'n'"):
         ExperimentPlan("cbc", ({"N": 2},), 1, 0)
     with pytest.raises(ValueError):
         ExperimentPlan("cbc", (), 1000, 0)
@@ -103,13 +103,33 @@ def test_run_plan_lock_experiments():
     drift_free = {"N": 2, "n": 10_000.0, "intervals": 60, "init_spread": 0.05}
     sql = 1.0 / 10_000
     drifting = {"N": 4, "n": 10_000.0, "intervals": 300, "drift_var": sql / 10}
-    # trials is unused by the lock runner but must still be a sane count
+    # trials is unused by the lock runner
     plan = ExperimentPlan("lock", (drift_free, drifting), 100, 8)
     result = run_plan(plan)
     assert result.all_passed
     free_point, drift_point = result.points
     assert free_point.measured["final_var"] <= 10 * sql
     assert drift_point.measured["steady_ratio"] >= 1.0
+
+
+@pytest.mark.parametrize("experiment,record", [
+    ("cbc", {"N": 2, "n": 100}),
+    ("amp", {"G": 4}),
+    ("cascade", {"G": 4}),
+    ("gamma", {"N": 2, "phase_var": 0.01}),
+])
+def test_run_plan_rejects_too_few_trials(experiment, record):
+    plan = ExperimentPlan(experiment, (record,), 1, 0)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        run_plan(plan)
+
+
+def test_lock_plan_ignores_trials():
+    record = {"N": 2, "n": 10_000.0, "intervals": 30, "init_spread": 0.05}
+    one, many = (run_plan(ExperimentPlan("lock", (record,), trials, 8)).points[0]
+                 for trials in (1, 100_000))
+    assert one.passed
+    assert one.measured == many.measured
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -50,6 +50,11 @@ def test_simulated_clicks_deterministic():
     assert a == b
 
 
+def test_simulated_clicks_need_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        simulate_two_beam_clicks(20, 0.1, 1, RngStream(3))
+
+
 def test_feedback_config_validation():
     with pytest.raises(ValueError):
         FeedbackConfig(n_beams=1, photons=100)

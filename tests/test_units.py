@@ -26,20 +26,21 @@ COMMANDS = [
               "--init-spread", "0.05"], None),
 ]
 
-# labels that were wrong or missing before the exact unit table, by command
+# labels that were once wrong or missing, by command
 PINNED = {
     "cbc": {"predicted_mean_x": AMPLITUDE, "se_mean_x": AMPLITUDE,
-            "se_var_p": "absolute quadrature variance (vacuum = 0.25)"},
-    "amp_n_cl": {"predicted_mean_x": AMPLITUDE},
+            "se_var_p": "absolute quadrature variance (vacuum = 0.25)", "experiment": "name"},
+    "amp_n_cl": {"predicted_mean_x": AMPLITUDE, "n_cl": "photons, input-referred",
+                 "experiment": "name"},
     "cascade": {"predicted_mean_x": AMPLITUDE},
     "gamma": {"measured_mean": "rad^2", "predicted_mean": "rad^2", "se_mean": "rad^2",
               "measured_variance": "rad^4", "predicted_variance": "rad^4",
               "se_variance": "rad^4", "z_mean": "standard errors"},
     "lock": {"measured_final_var": "rad^2", "measured_steady_ratio":
              "Var(psi) over the quantum limit", "measured_clicks": "photon count",
-             "predicted_sql": "rad^2"},
+             "predicted_sql": "rad^2", "experiment": "name"},
     "predict": {"G": "intensity gain", "var_units": "quadrature variance, multiples of 0.25",
-                "xi_star": "multiples of the quantum-limit phase variance"},
+                "xi_star": "multiples of the quantum-limit phase variance", "kind": "name"},
 }
 
 PARENT_PUBLIC_NAMES = [
