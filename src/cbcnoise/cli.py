@@ -206,8 +206,10 @@ def cmd_simulate(args) -> int:
     records = _simulate_records(result)
     _print_table(records)
     n_failed = sum(1 for p in result.points if not p.passed)
-    print(f"\n{len(result.points)} point(s), {n_failed} outside the "
-          f"{plan.tolerance_k:g} standard error band (seed {plan.master_seed})")
+    # lock points have no standard errors, so no band either
+    band = f"outside the {plan.tolerance_k:g} standard error band"
+    print(f"\n{len(result.points)} point(s), {n_failed} "
+          f"{band if any(p.se for p in result.points) else 'failed'} (seed {plan.master_seed})")
     if args.out:
         write_output(records, f"{plan.experiment} simulation", args.out, args.format)
     return 0 if result.all_passed else 1

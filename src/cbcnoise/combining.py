@@ -197,16 +197,15 @@ def predict_output(config: CbcConfig) -> CbcPrediction:
 def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) -> np.ndarray:
     """Draw ``count`` combined-port field samples with one generator.
 
-    Per trial: independent Gaussian phase errors on each beam, then one
-    ``gaussian_field`` draw of the beams about sqrt(n) * exp(1j*psi_k), then
-    the coherent-sum port.  The phases are drawn before the field, so a
-    given stream always yields the same ensemble.
+    Per trial: Gaussian phase errors psi_k on the N beams, the coherent sum
+    sqrt(n/N) * sum_k exp(1j*psi_k), and one ``gaussian_field`` vacuum: the
+    combiner is unitary, so the N input vacua reaching port 0 add up to exactly
+    one coherent-state vacuum.  Draw order: the (count, N) phases, then the
+    (count,) x and p blocks, so a given stream always yields the same ensemble.
     """
-    n_beams = config.n_beams
-    psi = gen.normal(scale=math.sqrt(config.phase_var), size=(count, n_beams))
-    beams = math.sqrt(config.photons) * np.exp(1j * psi)
-    del psi  # the field draw is the chunk's memory peak; it needs no phases
-    return gaussian_field(beams, gen).sum(axis=1) / math.sqrt(n_beams)
+    psi = gen.normal(scale=math.sqrt(config.phase_var), size=(count, config.n_beams))
+    port = math.sqrt(config.photons / config.n_beams) * np.exp(1j * psi).sum(axis=1)
+    return gaussian_field(port, gen)
 
 
 def cbc_kernel(config: CbcConfig):

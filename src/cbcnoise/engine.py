@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -63,8 +64,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)  # is_integer() is False for nan and inf
+            if not (isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "tolerance_k", float(self.tolerance_k))
         if not 0.0 < self.tolerance_k < math.inf:
             raise ValueError("tolerance must be positive and finite")
@@ -159,7 +164,7 @@ class Experiment(NamedTuple):
     options: dict  # grid keys a point may give -> default, or None for none
     config: Callable  # grid record completed with the defaults -> configuration
     jobs: Callable  # (config, trials, stream) -> list of zero-argument jobs
-    score: Callable  # (config, output, trials, k) -> PointResult fields after config
+    score: Callable  # (config, output, k) -> PointResult fields after config
 
 
 def _chunked(factory):
@@ -172,19 +177,10 @@ def _judged(stats, measured, predicted, se, k):
     return stats, measured, predicted, se, z, all(abs(v) <= k for v in z.values())
 
 
-def _score_stats(predict, config, stats, trials, k):
+def _score_stats(predict, config, stats, k):
     """Score of a chunked point: its merged stats against predict(config)."""
-    measured = {
-        "mean_x": stats.mean_x,
-        "mean_p": stats.mean_p,
-        "var_x": stats.var_x,
-        "var_p": stats.var_p,
-    }
-    se = {
-        "mean_x": stats.se_mean_x,
-        "var_x": stats.se_var_x,
-        "var_p": stats.se_var_p,
-    }
+    measured = {name: getattr(stats, name) for name in ("mean_x", "mean_p", "var_x", "var_p")}
+    se = {name: getattr(stats, "se_" + name) for name in ("mean_x", "var_x", "var_p")}
     return _judged(stats, measured, predict(config), se, k)
 
 
@@ -231,14 +227,14 @@ def _chain_predicted(chain):
     return {"mean_x": math.sqrt(total_gain), "var_x": var_x, "var_p": var_p}
 
 
-def _gamma_score(config, stats, trials, k):
+def _gamma_score(config, stats, k):
     n_terms, phase_var = config
     mean, variance = stats.mean_x, stats.var_x
     pred_mean = n_terms * phase_var
     pred_var = 2.0 * n_terms * phase_var ** 2
     # analytic standard errors from the gamma moments (excess kurtosis 12/N)
-    se_mean = math.sqrt(pred_var / trials)
-    se_var = pred_var * math.sqrt((2.0 + 12.0 / n_terms) / trials)
+    se_mean = math.sqrt(pred_var / stats.trials)
+    se_var = pred_var * math.sqrt((2.0 + 12.0 / n_terms) / stats.trials)
     measured = {"mean": mean, "variance": variance}
     predicted = {"mean": pred_mean, "variance": pred_var}
     se = {"mean": se_mean, "variance": se_var}
@@ -262,7 +258,7 @@ def _lock_config(record):
     return config, init
 
 
-def _lock_score(lock, state, trials, k):
+def _lock_score(lock, state, k):
     config, _ = lock
     ratio = state.steady_state_ratio(config)
     sql = cbc_mod.sql_phase_variance(config.n_beams, config.photons)
@@ -321,6 +317,6 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
         for record, config, jobs in zip(plan.grid, configs, point_jobs):
             # a point's outputs merge in job order; a lock point has one output
             output = functools.reduce(merge_stats, itertools.islice(outputs, len(jobs)))
-            scored = experiment.score(config, output, plan.trials, plan.tolerance_k)
+            scored = experiment.score(config, output, plan.tolerance_k)
             points.append(PointResult(dict(record), *scored))
     return ExperimentResult(plan, tuple(points))

@@ -64,6 +64,16 @@ def test_simulate_lock(capsys):
     assert rc == 0
 
 
+def test_simulate_lock_summary_has_no_band(capsys):
+    # lock points carry no standard errors, so the summary only counts failures
+    rc = main(["simulate", "lock", "-N", "2", "-n", "10000", "--intervals", "10",
+               "--tolerance-k", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[-1] == "1 point(s), 0 failed (seed 0)"
+    assert "standard error" not in out
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["simulate", "cbc", "-n", "100", "--xi", "1"]) == 2  # missing -N
     assert main(["simulate", "--plan", "/no/such/plan.txt"]) == 2

@@ -166,6 +166,14 @@ def test_simulator_matches_exact_gaussian_moments():
     assert abs(stats.var_x - exact_var_x) < 5 * stats.se_var_x
     assert abs(stats.var_p - exact_var_p) < 5 * stats.se_var_p
     assert abs(stats.mean_p) < 5 * stats.se_mean_p
+    # N = 32: the mean grows as sqrt(N), the variances do not depend on N, so
+    # the one port vacuum standing in for 32 beam vacua must give the same floor
+    stats = simulate_cbc(CbcConfig(n_beams=32, photons=100, phase_var=0.05), 400_000,
+                         RngStream(19))
+    assert abs(stats.mean_x - math.sqrt(32 * 100) * math.exp(-0.05 / 2)) < 5 * stats.se_mean_x
+    assert abs(stats.var_x - exact_var_x) < 5 * stats.se_var_x
+    assert abs(stats.var_p - exact_var_p) < 5 * stats.se_var_p
+    assert abs(stats.mean_p) < 5 * stats.se_mean_p
 
 
 @pytest.mark.parametrize("n_beams", [2, 4])

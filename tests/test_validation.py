@@ -53,6 +53,30 @@ def test_cli_rejects_nan_tolerance(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, bad", [("trials", 2.9), ("trials", math.inf), ("trials", math.nan),
+                                       ("trials", "100"), ("master_seed", 1.5),
+                                       ("master_seed", math.inf)])
+def test_plan_rejects_non_whole_counts(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        ExperimentPlan("cbc", ({"N": 2, "n": 100},), **{name: bad})
+
+
+def test_plan_takes_whole_floats_as_ints():
+    plan = ExperimentPlan("cbc", ({"N": 2, "n": 100},), 1e5, 7.0)
+    assert (plan.trials, plan.master_seed) == (100_000, 7)
+    assert type(plan.trials) is int and type(plan.master_seed) is int
+
+
+@pytest.mark.parametrize("trials", ["2.9", "inf"])
+def test_cli_rejects_non_whole_trials(tmp_path, capsys, trials):
+    # once from the flag, once from a plan file; neither truncates nor crashes
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", trials]) == 2
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"experiment = cbc\ntrials = {trials}\ngrid.N = 2\ngrid.n = 100\n")
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert capsys.readouterr().err.count("trials must be a whole number") == 2
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gamma_rejects_non_finite_phase_var(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -5,7 +5,8 @@
 
 Criteria 03 and 04 of ``tests/test_acceptance.py`` fail by design: they pin
 the grid Monte Carlo to the quadratic predictors where those are biased.
-The script prints the status of those two and exits 1 on any other failure
+The script prints the status of those two, with the first line of a
+failure message (their z-values), and exits 1 on any other failure
 or error, collection errors included, or on a report with no test cases;
 otherwise it exits 0.  An unreadable report exits 2.
 """
@@ -21,13 +22,13 @@ EXPECTED_FAILURES = (
 )
 
 
-def outcome(case) -> str:
-    """passed, skipped, failure or error for one ``testcase`` element."""
-    tags = [child.tag for child in case]
+def outcome(case) -> tuple:
+    """passed, skipped, failure or error for one ``testcase``, and its message's first line."""
     for tag in ("error", "failure", "skipped"):
-        if tag in tags:
-            return tag
-    return "passed"
+        child = case.find(tag)
+        if child is not None:
+            return tag, (child.get("message") or "").split("\n", 1)[0]
+    return "passed", ""
 
 
 def main(argv=None) -> int:
@@ -40,20 +41,20 @@ def main(argv=None) -> int:
     except (OSError, ET.ParseError) as exc:
         print(f"error: cannot read {args[0]}: {exc}", file=sys.stderr)
         return 2
-    expected = {key: "missing" for key in EXPECTED_FAILURES}
+    expected = {key: ("missing", "") for key in EXPECTED_FAILURES}
     unexpected = []
     for case in cases:
         key = (case.get("classname", ""), case.get("name", ""))
-        result = outcome(case)
+        result, message = outcome(case)
         if key in expected:
-            expected[key] = result
+            expected[key] = result, message
             ok = result in ("failure", "passed")
         else:
             ok = result in ("passed", "skipped")
         if not ok:
             unexpected.append(f"{'::'.join(filter(None, key))}: {result}")
-    for (module, name), result in expected.items():
-        print(f"expected failure {module}::{name}: {result}")
+    for (module, name), (result, message) in expected.items():
+        print(f"expected failure {module}::{name}: {result}" + (f" ({message})" if message else ""))
     for line in unexpected:
         print(f"UNEXPECTED {line}")
     print(f"{len(cases)} test case(s), {len(unexpected)} unexpected result(s)")
