@@ -176,14 +176,8 @@ def _simulate_records(result) -> list:
         if point.se:  # a point without standard errors ran no ensemble
             rec.update(trials=plan.trials, tolerance_k=plan.tolerance_k)
         rec.update(point.config)
-        for name, value in point.measured.items():
-            rec[f"measured_{name}"] = value
-        for name, value in point.predicted.items():
-            rec[f"predicted_{name}"] = value
-        for name, value in point.se.items():
-            rec[f"se_{name}"] = value
-        for name, value in point.z.items():
-            rec[f"z_{name}"] = value
+        for prefix in ("measured", "predicted", "se", "z"):
+            rec.update((f"{prefix}_{key}", value) for key, value in getattr(point, prefix).items())
         if point.stats is not None:
             rec["measured_var_x_units"] = point.stats.var_x / VAR_COH
             rec["measured_var_p_units"] = point.stats.var_p / VAR_COH

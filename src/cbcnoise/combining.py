@@ -80,15 +80,11 @@ class CbcConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.n_beams < 2:
-            raise ValueError("need at least two beams")
-        if self.photons <= 0:
-            raise ValueError("photon number must be positive")
+        sql = sql_phase_variance(self.n_beams, self.photons)  # checks N >= 2 and n > 0
         given_var = self.phase_var is not None
         given_xi = self.xi is not None
         if given_var == given_xi:
             raise ValueError("give exactly one of phase_var or xi")
-        sql = sql_phase_variance(self.n_beams, self.photons)
         if given_xi:
             if self.xi < 1.0:
                 raise ValueError("xi below 1 would beat the quantum limit")

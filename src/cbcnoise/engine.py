@@ -51,6 +51,14 @@ from . import combining as cbc_mod
 from . import phaselock as lock_mod
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a whole float such as 2.0 counts, 2.5, nan and inf do not."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """An experiment, grid records that give its keys and options, and run settings."""
@@ -65,11 +73,9 @@ class ExperimentPlan:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("trials", "master_seed"):
-            value = getattr(self, name)  # is_integer() is False for nan and inf
-            if not (isinstance(value, numbers.Integral)
-                    or isinstance(value, float) and value.is_integer()):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "tolerance_k", float(self.tolerance_k))
         if not 0.0 < self.tolerance_k < math.inf:
             raise ValueError("tolerance must be positive and finite")
@@ -185,7 +191,7 @@ def _score_stats(predict, config, stats, k):
 
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
-    kwargs = dict(n_beams=int(record["N"]), photons=float(record["n"]))
+    kwargs = dict(n_beams=_whole("N", record["N"]), photons=float(record["n"]))
     if record.get("phase_var") is not None:
         kwargs["phase_var"] = float(record["phase_var"])
     else:
@@ -212,7 +218,7 @@ def _amp_config(record):
 
 def _cascade_config(record):
     total_gain = float(record["G"])
-    return total_gain, amp_mod.equal_stages(total_gain, int(record["stages"]))
+    return total_gain, amp_mod.equal_stages(total_gain, _whole("stages", record["stages"]))
 
 
 def _chain_predicted(chain):
@@ -244,18 +250,15 @@ def _gamma_score(config, stats, k):
 def _lock_config(record):
     """(FeedbackConfig, initial phases or None) for one lock point."""
     config = lock_mod.FeedbackConfig(
-        n_beams=int(record["N"]),
+        n_beams=_whole("N", record["N"]),
         photons=float(record["n"]),
         drift_var=float(record["drift_var"]),
         controller_gain=float(record["gain"]),
-        intervals=int(record["intervals"]),
+        intervals=_whole("intervals", record["intervals"]),
     )
     spread = float(record["init_spread"])
-    init = None
-    if spread:
-        pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(config.n_beams)])
-        init = spread * (pattern - pattern.mean())
-    return config, init
+    pattern = np.resize([1.0, -1.0], config.n_beams)  # +1, -1, +1, ...; centred below
+    return config, spread * (pattern - pattern.mean()) if spread else None
 
 
 def _lock_score(lock, state, k):
@@ -293,7 +296,8 @@ EXPERIMENTS = {
                                     "intervals": lock_mod.FeedbackConfig.intervals,
                                     "init_spread": 0.0},
                        _lock_config, _lock_jobs, _lock_score),
-    "gamma": Experiment(("N", "phase_var"), {}, lambda r: (int(r["N"]), float(r["phase_var"])),
+    "gamma": Experiment(("N", "phase_var"), {},
+                        lambda r: (_whole("N", r["N"]), float(r["phase_var"])),
                         _chunked(lambda c: cbc_mod.gamma_sum_kernel(*c)), _gamma_score),
 }
 

@@ -160,19 +160,16 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         active = probe >= _MIN_CLICKS
         if active.any():
             magnitude = np.sqrt(np.maximum(probe - _MAGNITUDE_SHRINK, 0.0) / n_probe)
-            step = np.where(active, signs * config.controller_gain * magnitude, 0.0)
-            step -= step.mean()  # common phase is unobservable, keep moves zero-sum
-            trial = phases - step
+            move = np.where(active, signs * config.controller_gain * magnitude, 0.0)
+            trial = phases - (move - move.mean())  # common phase is unobservable: zero-sum
             verify = gen.poisson(_click_means(trial, n_verify))
             clicks_total += int(verify.sum())
             # compare click rates, not raw counts, across the unequal budgets
             worse = active & (verify * n_probe > probe * n_verify)
             if worse.any():
-                keep = np.where(active & ~worse, signs * config.controller_gain * magnitude, 0.0)
-                keep -= keep.mean()
-                phases = phases - keep
-                signs = np.where(worse, -signs, signs)
-            else:
-                phases = trial
+                move[worse] = 0.0
+                signs[worse] *= -1.0
+                trial = phases - (move - move.mean())
+            phases = trial
         history.append((t, float(np.var(phases, ddof=1))))
     return LockState(phases=phases, clicks_total=clicks_total, history=tuple(history))

@@ -58,7 +58,7 @@ def report(number, ok, detail=""):
 @pytest.fixture(scope="module")
 def cbc_grid_result():
     plan = ExperimentPlan("cbc", GRID, 1_000_000, master_seed=7)
-    return run_plan(plan)
+    return run_plan(plan, workers=2)  # same points for any worker count (criterion 12)
 
 
 def test_criterion_01_dft_identities():

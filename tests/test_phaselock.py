@@ -1,5 +1,7 @@
 """Tests for click-rate sensing and the probe-and-verify lock loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cbcnoise import (
     sql_phase_variance,
     two_beam_click_rate,
 )
+from cbcnoise.engine import ExperimentPlan, run_plan
 from cbcnoise.phaselock import LockState
 
 
@@ -129,3 +132,46 @@ def test_drifting_lock_sits_above_the_quantum_floor(seed):
     assert np.isfinite(ratio)
     assert ratio >= 1.0
     assert ratio < 50.0
+
+
+# Recorded outputs of run_feedback on fixed seeds: any edit to the loop that
+# changes a draw, a comparison or a floating-point step shows up here.
+PINNED_LOCK_RUNS = [
+    (2, 5000, 0.0, 60, 17, [0.05, -0.05], 244,
+     [0.008067955854707133, -0.008067955854707133],
+     "5a22d1a303aa2639e0f5d8a9a3e3a004be0380ce7c1224fb6132d4dad7ed31c4"),
+    (4, 10_000, 1.0, 120, 29, None, 411,
+     [-0.007979728651684292, -0.01879353219468832, -0.0004580551243031259,
+      -0.002826971892167787],
+     "c8df896c313fe4f2dd179bd06b0210f814192c17a0a12839880c4368f3d2855f"),
+    (16, 1000, 1.0, 80, 31, None, 1254,
+     [0.02676933208038344, 0.025372652074952425, -0.01046312049245687,
+      0.011088132860952823, 0.06629457811248336, 0.036516441655866115,
+      0.02168851550830556, -0.11776542318089456, 0.07245823081227871,
+      -0.030157698036182682, 0.012439229858849845, 0.0771128832125656,
+      -0.07466792731622415, -0.010621470190361991, -0.03661286213336686,
+      0.0028864725599373284],
+     "0cc41ba35a5fa88f1b7c69765a413722baa773cac97142bd231f5dd1c7f8a451"),
+]
+
+
+@pytest.mark.parametrize("n_beams, photons, drift_sqls, intervals, seed, init, "
+                         "clicks, phases, history_sha256", PINNED_LOCK_RUNS)
+def test_run_feedback_is_pinned(n_beams, photons, drift_sqls, intervals, seed, init,
+                                clicks, phases, history_sha256):
+    drift_var = drift_sqls * sql_phase_variance(n_beams, photons) if drift_sqls else 0.0
+    cfg = FeedbackConfig(n_beams=n_beams, photons=photons, drift_var=drift_var,
+                         intervals=intervals)
+    state = run_feedback(cfg, RngStream(seed), initial_phases=init)
+    assert state.clicks_total == clicks
+    assert state.phases.tolist() == phases
+    assert hashlib.sha256(repr(state.history).encode()).hexdigest() == history_sha256
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lock_plan_point_is_pinned(workers):
+    # odd N: the alternating start pattern is not zero-mean before centring
+    record = {"N": 3, "n": 10000, "init_spread": 0.05, "intervals": 60}
+    result = run_plan(ExperimentPlan("lock", (record,), master_seed=5), workers=workers)
+    assert result.points[0].measured == {
+        "steady_ratio": 2.3911995635633656, "final_var": 0.00011955997817816829, "clicks": 195}

@@ -7,6 +7,7 @@ import pytest
 from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, RngStream
 from cbcnoise import gamma_sum_statistics
 from cbcnoise.cli import main
+from cbcnoise.engine import EXPERIMENTS
 
 CBC_XI = {"n_beams": 2, "photons": 100.0, "xi": 1.0}
 CBC_VAR = {"n_beams": 2, "photons": 100.0, "phase_var": 0.01}
@@ -75,6 +76,38 @@ def test_cli_rejects_non_whole_trials(tmp_path, capsys, trials):
     plan.write_text(f"experiment = cbc\ntrials = {trials}\ngrid.N = 2\ngrid.n = 100\n")
     assert main(["simulate", "--plan", str(plan)]) == 2
     assert capsys.readouterr().err.count("trials must be a whole number") == 2
+
+
+@pytest.mark.parametrize("experiment, grid, key, bad", [
+    ("cbc", "grid.n = 100", "N", "2.5"),
+    ("cbc", "grid.n = 100", "N", "inf"),
+    ("gamma", "grid.phase_var = 0.01", "N", "2.5"),
+    ("lock", "grid.N = 2\ngrid.n = 1000", "intervals", "2.7"),
+    ("cascade", "grid.G = 4", "stages", "1.9"),
+], ids=["cbc-N", "cbc-N-inf", "gamma-N", "lock-intervals", "cascade-stages"])
+def test_plan_rejects_non_whole_count_keys(tmp_path, capsys, experiment, grid, key, bad):
+    # a count key is neither truncated (2.5 beams ran as 2) nor left to crash (inf)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"experiment = {experiment}\ntrials = 1000\n{grid}\ngrid.{key} = {bad}\n")
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert f"{key} must be a whole number, got {float(bad)!r}" in capsys.readouterr().err
+
+
+def test_count_keys_take_whole_floats_as_ints():
+    cbc = EXPERIMENTS["cbc"].config({"N": 4.0, "n": 100, "xi": 1.0})
+    lock, _ = EXPERIMENTS["lock"].config({**EXPERIMENTS["lock"].options,
+                                          "N": 3.0, "n": 100, "intervals": 5.0})
+    _, stages = EXPERIMENTS["cascade"].config({"G": 8, "stages": 3.0})
+    assert (cbc.n_beams, lock.n_beams, lock.intervals, len(stages)) == (4, 3, 5, 3)
+    assert type(cbc.n_beams) is int and type(lock.intervals) is int
+
+
+def test_negative_seed_is_named(capsys):
+    with pytest.raises(ValueError, match="master_seed must be nonnegative, got -1"):
+        ExperimentPlan("cbc", ({"N": 2, "n": 100},), master_seed=-1)
+    assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
+                 "--seed", "-1"]) == 2
+    assert "master_seed must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
