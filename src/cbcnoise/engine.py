@@ -59,6 +59,13 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; text such as 'abc' is not a number."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """An experiment, grid records that give its keys and options, and run settings."""
@@ -76,7 +83,7 @@ class ExperimentPlan:
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        object.__setattr__(self, "tolerance_k", float(self.tolerance_k))
+        object.__setattr__(self, "tolerance_k", _number("tolerance_k", self.tolerance_k))
         if not 0.0 < self.tolerance_k < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if not self.grid:
@@ -191,12 +198,9 @@ def _score_stats(predict, config, stats, k):
 
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
-    kwargs = dict(n_beams=_whole("N", record["N"]), photons=float(record["n"]))
-    if record.get("phase_var") is not None:
-        kwargs["phase_var"] = float(record["phase_var"])
-    else:
-        kwargs["xi"] = float(record["xi"])
-    return cbc_mod.CbcConfig(**kwargs)
+    spread = "xi" if record.get("phase_var") is None else "phase_var"
+    return cbc_mod.CbcConfig(_whole("N", record["N"]), _number("n", record["n"]),
+                             **{spread: _number(spread, record[spread])})
 
 
 def _cbc_predicted(config):
@@ -208,16 +212,13 @@ def _cbc_predicted(config):
 
 
 def _amp_config(record):
-    total_gain = float(record["G"])
-    return total_gain, [amp_mod.AmplifierSpec(
-        g=math.sqrt(total_gain),
-        kind=str(record["kind"]),
-        n_cl=float(record["n_cl"]),
-    )]
+    total_gain = _number("G", record["G"])
+    return total_gain, [amp_mod.AmplifierSpec(math.sqrt(total_gain), str(record["kind"]),
+                                              _number("n_cl", record["n_cl"]))]
 
 
 def _cascade_config(record):
-    total_gain = float(record["G"])
+    total_gain = _number("G", record["G"])
     return total_gain, amp_mod.equal_stages(total_gain, _whole("stages", record["stages"]))
 
 
@@ -251,12 +252,12 @@ def _lock_config(record):
     """(FeedbackConfig, initial phases or None) for one lock point."""
     config = lock_mod.FeedbackConfig(
         n_beams=_whole("N", record["N"]),
-        photons=float(record["n"]),
-        drift_var=float(record["drift_var"]),
-        controller_gain=float(record["gain"]),
+        photons=_number("n", record["n"]),
+        drift_var=_number("drift_var", record["drift_var"]),
+        controller_gain=_number("gain", record["gain"]),
         intervals=_whole("intervals", record["intervals"]),
     )
-    spread = float(record["init_spread"])
+    spread = _number("init_spread", record["init_spread"])
     pattern = np.resize([1.0, -1.0], config.n_beams)  # +1, -1, +1, ...; centred below
     return config, spread * (pattern - pattern.mean()) if spread else None
 
@@ -297,7 +298,7 @@ EXPERIMENTS = {
                                     "init_spread": 0.0},
                        _lock_config, _lock_jobs, _lock_score),
     "gamma": Experiment(("N", "phase_var"), {},
-                        lambda r: (_whole("N", r["N"]), float(r["phase_var"])),
+                        lambda r: (_whole("N", r["N"]), _number("phase_var", r["phase_var"])),
                         _chunked(lambda c: cbc_mod.gamma_sum_kernel(*c)), _gamma_score),
 }
 

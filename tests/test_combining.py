@@ -1,6 +1,7 @@
 """Tests for the DFT combiner, noise predictions, and the CBC Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from cbcnoise import (
     sql_phase_variance,
     xi_threshold,
 )
-from cbcnoise.combining import chunk_trials, combine_port_amplitude
+from cbcnoise.coherent import gaussian_field
+from cbcnoise.combining import chunk_trials, combine_port_amplitude, sample_cbc_outputs
 
 # Forward transform of [1+2j, -1, 0.5j, 2-1j], computed from the O(N^2)
 # definition sum_j a_j exp(-2 pi i j k / N) / sqrt(N) with plain cmath.
@@ -193,6 +195,40 @@ def test_simulate_cbc_deterministic():
     a = simulate_cbc(cfg, 30_000, RngStream(4))
     b = simulate_cbc(cfg, 30_000, RngStream(4))
     assert a == b
+
+
+# Fixed before the first run: float32 cos and sin err by ~3e-8 per beam, and
+# the float64 sums keep that from growing with N, so a sample with n <= 1000
+# is within a few 1e-6 of float64 trig; 1e-5 is far below one SE of any gated
+# mean or variance (the vacuum alone has deviation 0.5 per quadrature).
+FLOAT32_TRIG_ATOL = 1e-5
+
+
+@pytest.mark.parametrize("photons", [100.0, 1000.0])
+@pytest.mark.parametrize("n_beams", [2, 32])
+def test_float32_trig_matches_float64_sum(n_beams, photons):
+    cfg = CbcConfig(n_beams=n_beams, photons=photons, xi=5.0)
+    count = chunk_trials(32)
+    samples = sample_cbc_outputs(cfg, count, RngStream(31).generator())
+    # the float64 path from the same draws: N phases per trial, then the port vacuum
+    gen = RngStream(31).generator()
+    psi = gen.normal(scale=math.sqrt(cfg.phase_var), size=(count, n_beams))
+    port = math.sqrt(photons / n_beams) * np.exp(1j * psi).sum(axis=1)
+    np.testing.assert_allclose(samples, gaussian_field(port, gen), rtol=0, atol=FLOAT32_TRIG_ATOL)
+
+
+def test_cbc_chunk_memory_is_bounded():
+    # a full chunk holds 2^21 elements; 16 bytes each leaves room for the
+    # float64 phases and their float32 copy (12), not for complex temporaries (40)
+    cfg = CbcConfig(n_beams=32, photons=1000.0, xi=5.0)
+    gen = RngStream(3).generator()
+    tracemalloc.start()
+    try:
+        sample_cbc_outputs(cfg, chunk_trials(32), gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 21
 
 
 def test_phase_noise_is_asymmetric_between_quadratures():

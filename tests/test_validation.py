@@ -1,4 +1,4 @@
-"""Configuration records reject non-finite numbers."""
+"""Configuration records and plans reject non-finite, non-numeric and non-whole values."""
 
 import math
 
@@ -91,6 +91,33 @@ def test_plan_rejects_non_whole_count_keys(tmp_path, capsys, experiment, grid, k
     plan.write_text(f"experiment = {experiment}\ntrials = 1000\n{grid}\ngrid.{key} = {bad}\n")
     assert main(["simulate", "--plan", str(plan)]) == 2
     assert f"{key} must be a whole number, got {float(bad)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, grid, key", [
+    ("cbc", "grid.N = 2", "n"),
+    ("cbc", "grid.N = 2\ngrid.n = 100", "xi"),
+    ("cbc", "grid.N = 2\ngrid.n = 100", "phase_var"),
+    ("amp", "grid.G = 2", "n_cl"),
+    ("amp", "", "G"),
+    ("cascade", "", "G"),
+    ("gamma", "grid.N = 2", "phase_var"),
+    ("lock", "grid.N = 2\ngrid.n = 1000", "drift_var"),
+    ("lock", "grid.N = 2\ngrid.n = 1000", "gain"),
+    ("lock", "grid.N = 2\ngrid.n = 1000", "init_spread"),
+    ("lock", "grid.N = 2", "n"),
+])
+def test_plan_names_a_non_numeric_float_key(tmp_path, capsys, experiment, grid, key):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"experiment = {experiment}\ntrials = 1000\n{grid}\ngrid.{key} = abc\n")
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert f"{key} must be a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_plan_names_a_non_numeric_tolerance(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("experiment = cbc\ntolerance_k = wide\ngrid.N = 2\ngrid.n = 100\n")
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert "tolerance_k must be a number, got 'wide'" in capsys.readouterr().err
 
 
 def test_count_keys_take_whole_floats_as_ints():

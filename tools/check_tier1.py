@@ -8,11 +8,13 @@ the grid Monte Carlo to the quadratic predictors where those are biased.
 The script prints the status of those two, with the first line of a
 failure message (their z-values), and exits 1 on any other failure
 or error, collection errors included, or on a report with no test cases;
-otherwise it exits 0.  An unreadable report exits 2.
+otherwise it exits 0.  An unreadable report exits 2.  A reader that closes
+the output early (``| head -2``) cuts the listing short, not the status.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import xml.etree.ElementTree as ET
 
@@ -53,11 +55,16 @@ def main(argv=None) -> int:
             ok = result in ("passed", "skipped")
         if not ok:
             unexpected.append(f"{'::'.join(filter(None, key))}: {result}")
-    for (module, name), (result, message) in expected.items():
-        print(f"expected failure {module}::{name}: {result}" + (f" ({message})" if message else ""))
-    for line in unexpected:
-        print(f"UNEXPECTED {line}")
-    print(f"{len(cases)} test case(s), {len(unexpected)} unexpected result(s)")
+    lines = [f"expected failure {module}::{name}: {result}" + (f" ({message})" if message else "")
+             for (module, name), (result, message) in expected.items()]
+    lines += [f"UNEXPECTED {line}" for line in unexpected]
+    lines.append(f"{len(cases)} test case(s), {len(unexpected)} unexpected result(s)")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader left early (``... | head -2``): keep the status, and point
+        # stdout at devnull so the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if cases and not unexpected else 1
 
 
