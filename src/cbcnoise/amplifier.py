@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, as_generator,
-                       gaussian_field, run_chunks)
+from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, _finite, _whole,
+                       as_generator, gaussian_field, run_chunks)
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -44,9 +44,7 @@ class AmplifierSpec:
     n_cl: float = 0.0
 
     def __post_init__(self):
-        for name in ("g", "n_cl"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite(self, "g", "n_cl")
         if self.kind not in KINDS:
             raise ValueError(f"unknown amplifier kind {self.kind!r}")
         if self.kind == "phase_sensitive":
@@ -60,6 +58,13 @@ class AmplifierSpec:
     @property
     def gain(self) -> float:
         return self.g * self.g
+
+
+def _gain_spec(big_g: float, kind: str = "quantum_limited", n_cl: float = 0.0) -> AmplifierSpec:
+    """AmplifierSpec of intensity gain G = big_g, which must be positive."""
+    if big_g <= 0:
+        raise ValueError(f"G must be positive, got {big_g!r}")
+    return AmplifierSpec(math.sqrt(big_g), kind, n_cl)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,8 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     even at zero weight, so the stream position does not depend on the gain.
     """
     gen = as_generator(rng)
-    a = np.asarray(field, dtype=complex) if size is None else np.broadcast_to(
-        np.asarray(field, dtype=complex), size if isinstance(size, tuple) else (size,))
+    a = np.asarray(field, dtype=complex)
+    a = a if size is None else np.broadcast_to(a, size)
     g = spec.g
     if spec.kind == "phase_sensitive":
         out = g * a.real + 1j * a.imag / g
@@ -154,9 +159,12 @@ def cascade(specs, budget: NoiseBudget) -> NoiseBudget:
 
 
 def equal_stages(total_gain: float, stages: int) -> list:
-    """A chain of equal quantum-limited stages with total intensity gain total_gain."""
+    """A chain of equal quantum-limited stages with total intensity gain total_gain >= 1."""
+    stages = _whole("stages", stages)
     if stages < 1:
         raise ValueError("need at least one stage")
+    if total_gain < 1.0:
+        raise ValueError(f"quantum-limited stages need a total gain G >= 1, got {total_gain!r}")
     return [AmplifierSpec(g=total_gain ** (1.0 / (2.0 * stages)))] * stages
 
 

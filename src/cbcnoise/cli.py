@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .coherent import VAR_COH
 from .combining import CbcConfig, predict_output, xi_threshold
-from .amplifier import KINDS, AmplifierSpec, NoiseBudget, predict_variance
+from .amplifier import KINDS, NoiseBudget, _gain_spec, predict_variance
 from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
 
 # Unit of every column the commands write, and of every quantity named
@@ -114,7 +113,7 @@ def _print_table(records):
 
 def _amplifier_budget(big_g) -> NoiseBudget:
     """Output budget of a quantum-limited amplifier of intensity gain big_g on a coherent input."""
-    return predict_variance(AmplifierSpec(g=math.sqrt(big_g)), NoiseBudget(1.0))
+    return predict_variance(_gain_spec(big_g), NoiseBudget(1.0))
 
 
 def cmd_predict(args) -> int:
@@ -214,13 +213,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    xis = [float(x) for x in args.xi.split(",")]
+    try:
+        xis = [float(x) for x in args.xi.split(",")]
+    except ValueError:
+        raise ValueError(f"--xi must be a comma list of numbers, got {args.xi!r}") from None
     if args.N_max < args.N_min:
         raise ValueError("empty N range")
     records = []
     for n_beams in range(args.N_min, args.N_max + 1):
+        xi_star = xi_threshold(n_beams)  # first, so N < 2 is named as too few beams
         amp_units = _amplifier_budget(n_beams).total_units
-        xi_star = xi_threshold(n_beams)
         for xi in xis:
             config = CbcConfig(n_beams, args.n, xi=xi)
             records.append({
@@ -250,6 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_point(p, beams_help, gain_help):
+        p.add_argument("-N", type=int, help=beams_help)
+        p.add_argument("-n", type=float, help="photons per beam")
+        p.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
+                       help="phase accuracy factor in quantum-limit units (default %(default)s)")
+        p.add_argument("--phase-var", type=float, dest="phase_var",
+                       help="phase variance in rad^2 (overrides --xi)")
+        p.add_argument("-G", type=float, help=gain_help)
+
     def add_common(p):
         p.add_argument("--out", help="write records to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -259,27 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--cbc", action="store_true", help="combined-beam prediction")
     p_predict.add_argument("--amp", action="store_true", help="single-amplifier prediction")
     p_predict.add_argument("--threshold", action="store_true", help="break-even accuracy factor")
-    p_predict.add_argument("-N", type=int, help="number of beams")
-    p_predict.add_argument("-n", type=float, help="photons per beam")
-    p_predict.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
-                           help="phase accuracy factor in quantum-limit units "
-                                "(default %(default)s)")
-    p_predict.add_argument("--phase-var", type=float, dest="phase_var",
-                           help="phase variance in rad^2 (overrides --xi)")
-    p_predict.add_argument("-G", type=float, help="amplifier intensity gain (default N)")
+    add_point(p_predict, "number of beams", "amplifier intensity gain (default N)")
     add_common(p_predict)
     p_predict.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("experiment", nargs="?", choices=tuple(EXPERIMENTS))
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
-    p_sim.add_argument("-N", type=int, help="number of beams (or gamma terms)")
-    p_sim.add_argument("-n", type=float, help="photons per beam")
-    p_sim.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
-                       help="phase accuracy factor (default %(default)s)")
-    p_sim.add_argument("--phase-var", type=float, dest="phase_var",
-                       help="phase variance in rad^2 (overrides --xi)")
-    p_sim.add_argument("-G", type=float, help="amplifier intensity gain")
+    add_point(p_sim, "number of beams (or gamma terms)", "amplifier intensity gain")
     p_sim.add_argument("--stages", type=int, default=EXPERIMENTS["cascade"].options["stages"],
                        help="cascade stage count (default %(default)s)")
     p_sim.add_argument("--kind", choices=KINDS, default=EXPERIMENTS["amp"].options["kind"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,21 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a whole float such as 2.0 counts, 2.5, nan and inf do not."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _finite(record, *names):
+    """Raise ValueError if a named field of ``record`` is nan or inf; None is skipped."""
+    for name in names:
+        if not math.isfinite(getattr(record, name) or 0.0):
+            raise ValueError(f"{name} must be finite")
 
 
 def photon_number(alpha):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, gaussian_field, run_chunks
+from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _whole, gaussian_field,
+                       run_chunks)
 from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -76,10 +77,8 @@ class CbcConfig:
     xi: float = None
 
     def __post_init__(self):
-        for name in ("photons", "phase_var", "xi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "n_beams", _whole("N", self.n_beams))
+        _finite(self, "photons", "phase_var", "xi")
         sql = sql_phase_variance(self.n_beams, self.photons)  # checks N >= 2 and n > 0
         given_var = self.phase_var is not None
         given_xi = self.xi is not None
@@ -231,6 +230,7 @@ def gamma_sum_kernel(n_terms: int, phase_var: float):
     each sum is returned as a real sample, so it lands in the x quadrature
     of the chunk statistics.
     """
+    n_terms = _whole("N", n_terms)
     if n_terms < 1:
         raise ValueError("need at least one term")
     if not 0.0 < phase_var < math.inf:

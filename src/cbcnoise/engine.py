@@ -43,20 +43,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, chunk_jobs
+from .coherent import VAR_COH, QuadratureStats, RngStream, _whole, chunk_jobs
 from .coherent import estimate_stats as estimate_stats  # canonical home, re-exported here
 from .coherent import merge_stats as merge_stats  # canonical home, re-exported here
 from . import amplifier as amp_mod
 from . import combining as cbc_mod
 from . import phaselock as lock_mod
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a whole float such as 2.0 counts, 2.5, nan and inf do not."""
-    if not (isinstance(value, numbers.Integral)
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _number(name: str, value) -> float:
@@ -135,8 +127,7 @@ def _parse_scalar(text: str):
 
 def load_plan(path) -> ExperimentPlan:
     """Read an ExperimentPlan from a flat key = value file."""
-    scalars = {}
-    grid_axes = {}
+    entries = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -145,10 +136,13 @@ def load_plan(path) -> ExperimentPlan:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key.startswith("grid."):
-                grid_axes[key[5:]] = [_parse_scalar(v) for v in value.split(",")]
-            else:
-                scalars[key] = _parse_scalar(value)
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: {key} is given twice")
+            entries[key] = value
+    grid_axes = {key[5:]: [_parse_scalar(v) for v in value.split(",")]
+                 for key, value in entries.items() if key.startswith("grid.")}
+    scalars = {key: _parse_scalar(value) for key, value in entries.items()
+               if not key.startswith("grid.")}
     if "experiment" not in scalars:
         raise ValueError(f"{path}: missing experiment key")
     settings = {"trials": "trials", "seed": "master_seed", "tolerance_k": "tolerance_k"}
@@ -199,7 +193,7 @@ def _score_stats(predict, config, stats, k):
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
     spread = "xi" if record.get("phase_var") is None else "phase_var"
-    return cbc_mod.CbcConfig(_whole("N", record["N"]), _number("n", record["n"]),
+    return cbc_mod.CbcConfig(record["N"], _number("n", record["n"]),
                              **{spread: _number(spread, record[spread])})
 
 
@@ -213,13 +207,13 @@ def _cbc_predicted(config):
 
 def _amp_config(record):
     total_gain = _number("G", record["G"])
-    return total_gain, [amp_mod.AmplifierSpec(math.sqrt(total_gain), str(record["kind"]),
-                                              _number("n_cl", record["n_cl"]))]
+    return total_gain, [amp_mod._gain_spec(total_gain, str(record["kind"]),
+                                           _number("n_cl", record["n_cl"]))]
 
 
 def _cascade_config(record):
     total_gain = _number("G", record["G"])
-    return total_gain, amp_mod.equal_stages(total_gain, _whole("stages", record["stages"]))
+    return total_gain, amp_mod.equal_stages(total_gain, record["stages"])
 
 
 def _chain_predicted(chain):
@@ -251,11 +245,11 @@ def _gamma_score(config, stats, k):
 def _lock_config(record):
     """(FeedbackConfig, initial phases or None) for one lock point."""
     config = lock_mod.FeedbackConfig(
-        n_beams=_whole("N", record["N"]),
+        n_beams=record["N"],
         photons=_number("n", record["n"]),
         drift_var=_number("drift_var", record["drift_var"]),
         controller_gain=_number("gain", record["gain"]),
-        intervals=_whole("intervals", record["intervals"]),
+        intervals=record["intervals"],
     )
     spread = _number("init_spread", record["init_spread"])
     pattern = np.resize([1.0, -1.0], config.n_beams)  # +1, -1, +1, ...; centred below
@@ -298,7 +292,7 @@ EXPERIMENTS = {
                                     "init_spread": 0.0},
                        _lock_config, _lock_jobs, _lock_score),
     "gamma": Experiment(("N", "phase_var"), {},
-                        lambda r: (_whole("N", r["N"]), _number("phase_var", r["phase_var"])),
+                        lambda r: (r["N"], _number("phase_var", r["phase_var"])),
                         _chunked(lambda c: cbc_mod.gamma_sum_kernel(*c)), _gamma_score),
 }
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import RngStream, photon_number, run_chunks
+from .coherent import RngStream, _finite, _whole, photon_number, run_chunks
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -60,9 +60,7 @@ def min_detectable_phase_var(photons: float, symmetrized: bool = False) -> float
     2/n when one beam carries the whole offset, 1/n when both beams share it
     symmetrically.
     """
-    if photons <= 0:
-        raise ValueError("photon number must be positive")
-    return (1.0 if symmetrized else 2.0) / photons
+    return (1.0 if symmetrized else 2.0) * sql_phase_variance(2, photons)
 
 
 def simulate_two_beam_clicks(photons: float, dpsi: float, trials: int, rng: RngStream):
@@ -89,13 +87,10 @@ class FeedbackConfig:
     intervals: int = 100
 
     def __post_init__(self):
-        for name in ("photons", "drift_var", "controller_gain"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.n_beams < 2:
-            raise ValueError("need at least two beams")
-        if self.photons <= 0:
-            raise ValueError("photon number must be positive")
+        object.__setattr__(self, "n_beams", _whole("N", self.n_beams))
+        object.__setattr__(self, "intervals", _whole("intervals", self.intervals))
+        _finite(self, "photons", "drift_var", "controller_gain")
+        sql_phase_variance(self.n_beams, self.photons)  # checks N >= 2 and n > 0
         if self.drift_var < 0:
             raise ValueError("drift variance must be nonnegative")
         if not 0.0 < self.controller_gain <= 1.0:
@@ -146,6 +141,8 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         phases = np.array(initial_phases, dtype=float)
         if phases.shape != (n_beams,):
             raise ValueError("initial phases must match the beam count")
+        if not np.isfinite(phases).all():
+            raise ValueError("initial phases must be finite")
     signs = np.ones(n_beams)
     n_probe = config.photons * _PROBE_FRACTION
     n_verify = config.photons - n_probe

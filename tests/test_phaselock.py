@@ -175,3 +175,10 @@ def test_lock_plan_point_is_pinned(workers):
     result = run_plan(ExperimentPlan("lock", (record,), master_seed=5), workers=workers)
     assert result.points[0].measured == {
         "steady_ratio": 2.3911995635633656, "final_var": 0.00011955997817816829, "clicks": 195}
+
+
+def test_min_detectable_phase_var_is_one_or_two_over_n_bit_for_bit():
+    # the two-beam quantum limit 1/n, doubled when one beam carries the offset
+    for photons in np.logspace(-6, 12, 100_001).tolist():
+        assert min_detectable_phase_var(photons) == 2.0 / photons
+        assert min_detectable_phase_var(photons, symmetrized=True) == 1.0 / photons

@@ -1,11 +1,12 @@
-"""Configuration records and plans reject non-finite, non-numeric and non-whole values."""
+"""Records, plans and flags reject non-finite, non-numeric, non-whole and repeated values."""
 
 import math
 
 import pytest
 
 from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, RngStream
-from cbcnoise import gamma_sum_statistics
+from cbcnoise import gamma_sum_statistics, run_feedback
+from cbcnoise.amplifier import equal_stages
 from cbcnoise.cli import main
 from cbcnoise.engine import EXPERIMENTS
 
@@ -159,3 +160,74 @@ def test_compare_rejects_unphysical_xi(capsys, xi, message):
 def test_compare_rejects_one_beam(capsys):
     assert main(["compare", "--N-min", "1", "--N-max", "3"]) == 2
     assert "two beams" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "cascade", "-G", "-1"],
+    ["simulate", "cascade", "-G", "0", "--stages", "2"],
+    ["simulate", "amp", "-G", "-1"],
+    ["simulate", "amp", "-G", "0", "--kind", "phase_sensitive"],
+    ["predict", "--amp", "-G", "-1"],
+    ["predict", "--amp", "-G", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_non_positive_gain_is_a_named_usage_error(capsys, argv):
+    assert main(argv + (["--trials", "1000"] if argv[0] == "simulate" else [])) == 2
+    assert " G " in capsys.readouterr().err
+
+
+def test_equal_stages_reject_a_total_gain_below_one():
+    with pytest.raises(ValueError, match="G >= 1, got 0.5"):
+        equal_stages(0.5, 2)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("experiment = cbc\ntrials = 1000\ngrid.N = 2\ngrid.N = 4\ngrid.n = 100\n", "grid.N"),
+    ("experiment = cbc\ntrials = 1000\ngrid.N = 2\ntrials = 2000\ngrid.n = 100\n", "trials"),
+], ids=["grid.N", "trials"])
+def test_plan_rejects_a_key_given_twice(tmp_path, capsys, text, key):
+    # neither line may win silently: grid.N = 2 then grid.N = 4 would run only N = 4
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert f"{plan}:4: {key} is given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: CbcConfig(2.5, 100, xi=1.0), "N"),
+    (lambda: FeedbackConfig(2.5, 100), "N"),
+    (lambda: FeedbackConfig(2, 100, intervals=2.5), "intervals"),
+    (lambda: equal_stages(4.0, 1.5), "stages"),
+    (lambda: gamma_sum_statistics(2.5, 0.01, 1000, RngStream(0)), "N"),
+], ids=["CbcConfig.N", "FeedbackConfig.N", "FeedbackConfig.intervals", "equal_stages", "gamma"])
+def test_records_reject_fractional_counts(make, key):
+    with pytest.raises(ValueError, match=f"{key} must be a whole number, got [12].5"):
+        make()
+
+
+def test_records_take_whole_floats_as_ints():
+    cbc = CbcConfig(4.0, 100, xi=1.0)
+    lock = FeedbackConfig(3.0, 100, intervals=5.0)
+    assert (cbc.n_beams, lock.n_beams, lock.intervals, len(equal_stages(8, 3.0))) == (4, 3, 5, 3)
+    assert type(cbc.n_beams) is int and type(lock.n_beams) is int and type(lock.intervals) is int
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_feedback_rejects_non_finite_initial_phases(bad):
+    with pytest.raises(ValueError, match="initial phases must be finite"):
+        run_feedback(FeedbackConfig(2, 100), RngStream(0), initial_phases=[bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_lock_rejects_a_non_finite_init_spread(tmp_path, capsys, bad):
+    # once from the flag, once from a plan file
+    assert main(["simulate", "lock", "-N", "2", "-n", "100", "--init-spread", bad]) == 2
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"experiment = lock\ngrid.N = 2\ngrid.n = 100\ngrid.init_spread = {bad}\n")
+    assert main(["simulate", "--plan", str(plan)]) == 2
+    assert capsys.readouterr().err.count("initial phases must be finite") == 2
+
+
+@pytest.mark.parametrize("xi", ["1,,2", "abc"])
+def test_compare_names_xi_in_a_parse_error(capsys, xi):
+    assert main(["compare", "--N-min", "2", "--N-max", "4", "--xi", xi]) == 2
+    assert f"--xi must be a comma list of numbers, got {xi!r}" in capsys.readouterr().err
