@@ -56,7 +56,7 @@ def noise_figure_sweep():
         input_var = units * VAR_COH
         if units == 1.0:
             # a pure input: use the closed form, the Monte Carlo needs a mean
-            nf = (big_g * input_var + (big_g - 1) * VAR_COH) / (big_g * input_var)
+            nf = predict_variance(AmplifierSpec(math.sqrt(big_g)), VACUUM).total_units / big_g
         else:
             stats = amplify_classical_input(AmplifierSpec(math.sqrt(big_g)), input_var,
                                             100_000, RngStream(83).substream(int(units)))

@@ -8,7 +8,10 @@ a threshold xi* = (N - 1)^2 / 2: the array wins as long as its lock
 stays better than that, which gets easier the more beams there are.
 """
 
-from cbcnoise import CbcConfig, predict_output, xi_threshold
+import math
+
+from cbcnoise import (AmplifierSpec, CbcConfig, NoiseBudget, predict_output, predict_variance,
+                      xi_threshold)
 
 PHOTONS = 1000.0
 
@@ -20,7 +23,8 @@ def main():
     for n_beams in (2, 3, 4, 8, 16, 64):
         pred = predict_output(CbcConfig(n_beams=n_beams, photons=PHOTONS, xi=xi))
         cbc_units = pred.var_p_units
-        amp_units = 2 * n_beams - 1
+        amp = AmplifierSpec(math.sqrt(n_beams))  # quantum limited, gain N
+        amp_units = predict_variance(amp, NoiseBudget(1.0)).total_units  # 2N - 1
         threshold = xi_threshold(n_beams)
         winner = "combiner" if xi < threshold else "amplifier"
         print(f"{n_beams:>4}  {cbc_units:>10.3f}  {amp_units:>8.0f}  {threshold:>7.1f}   {winner}")

@@ -7,7 +7,7 @@ noise, which approaches the familiar factor-of-two (3 dB) penalty at high
 gain.  A measure-and-prepare chain pays twice, once for the simultaneous
 two-quadrature measurement and once for re-preparation, giving (2G+1) units.
 A phase-sensitive amplifier rescales the two quadratures by G and 1/G and
-adds nothing.
+adds nothing but its classical excess n_cl.
 
 Noise budgets here split a variance into a quantum floor, which is exactly
 one vacuum unit for any field built on coherent states, and classical excess
@@ -51,7 +51,7 @@ class AmplifierSpec:
             if self.g <= 0:
                 raise ValueError("phase-sensitive gain must be positive")
         elif self.g < 1.0:
-            raise ValueError("phase-insensitive amplifiers need g >= 1")
+            raise ValueError("phase-insensitive amplifiers need G = g^2 >= 1")
         if self.n_cl < 0:
             raise ValueError("classical excess must be nonnegative")
 
@@ -61,9 +61,9 @@ class AmplifierSpec:
 
 
 def _gain_spec(big_g: float, kind: str = "quantum_limited", n_cl: float = 0.0) -> AmplifierSpec:
-    """AmplifierSpec of intensity gain G = big_g, which must be positive."""
-    if big_g <= 0:
-        raise ValueError(f"G must be positive, got {big_g!r}")
+    """AmplifierSpec of intensity gain G = big_g, which must be positive and finite."""
+    if not 0 < big_g < math.inf:
+        raise ValueError(f"G must be positive and finite, got {big_g!r}")
     return AmplifierSpec(math.sqrt(big_g), kind, n_cl)
 
 
@@ -99,7 +99,7 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     quantum_limited: g*a + sqrt(g^2-1)*conj(v) with a fresh vacuum sample v.
     measure_prepare: simultaneous two-quadrature measurement (one extra
     vacuum unit), classical gain g on the record, re-preparation (one more
-    unit).  phase_sensitive: x scaled by g, p by 1/g, nothing added.
+    unit).  phase_sensitive: x scaled by g, p by 1/g.  Every kind adds its n_cl excess.
     Vacuum and excess terms are ``gaussian_field`` draws in a fixed order,
     even at zero weight, so the stream position does not depend on the gain.
     """
@@ -128,19 +128,19 @@ def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
     The quantum floor stays at one unit; added noise and the amplified input
     excess land in the classical part.  For the phase-sensitive case the
     returned budget describes the amplified quadrature, both parts scaled
-    by G.
+    by G.  Every kind then adds its 2*G*n_cl units of classical excess.
     """
     if budget.quantum_units < 1.0:
         raise ValueError("input below the Heisenberg floor is unphysical here")
     big_g = spec.gain
+    quantum = 1.0
     if spec.kind == "phase_sensitive":
-        return NoiseBudget(big_g * budget.quantum_units, big_g * budget.classical_units)
-    if spec.kind == "quantum_limited":
+        quantum, classical = big_g * budget.quantum_units, big_g * budget.classical_units
+    elif spec.kind == "quantum_limited":
         classical = big_g * budget.classical_units + 2.0 * (big_g - 1.0)
     else:  # measure_prepare
         classical = big_g * (2.0 + budget.classical_units)
-    classical += 2.0 * big_g * spec.n_cl
-    return NoiseBudget(1.0, classical)
+    return NoiseBudget(quantum, classical + 2.0 * big_g * spec.n_cl)
 
 
 def cascade(specs, budget: NoiseBudget) -> NoiseBudget:
@@ -163,8 +163,8 @@ def equal_stages(total_gain: float, stages: int) -> list:
     stages = _whole("stages", stages)
     if stages < 1:
         raise ValueError("need at least one stage")
-    if total_gain < 1.0:
-        raise ValueError(f"quantum-limited stages need a total gain G >= 1, got {total_gain!r}")
+    if not 1.0 <= total_gain < math.inf:
+        raise ValueError(f"quantum-limited stages need a finite total G >= 1, got {total_gain!r}")
     return [AmplifierSpec(g=total_gain ** (1.0 / (2.0 * stages)))] * stages
 
 

@@ -41,12 +41,16 @@ def sql_phase_variance(n_beams: int, photons: float) -> float:
 
     Equals 1/((N-1)*n): each of the N-1 independent relative phases must
     scatter about one photon into the error ports to be detectable at all.
+    An n that puts this at inf or 0 in floating point is rejected.
     """
     if n_beams < 2:
         raise ValueError("need at least two beams for a relative phase")
     if photons <= 0:
         raise ValueError("photon number must be positive")
-    return 1.0 / ((n_beams - 1) * photons)
+    sql = 1.0 / ((n_beams - 1) * photons)
+    if not 0.0 < sql < math.inf:
+        raise ValueError(f"quantum limit 1/((N-1)*n) is {sql!r} at N = {n_beams}, n = {photons!r}")
+    return sql
 
 
 def xi_threshold(n_beams: int) -> float:
@@ -56,8 +60,7 @@ def xi_threshold(n_beams: int) -> float:
     holding Var(psi) below xi_threshold * sql_phase_variance(N, n) keeps the
     combined beam quieter than a single quantum-limited amplifier of gain N.
     """
-    if n_beams < 2:
-        raise ValueError("need at least two beams")
+    sql_phase_variance(n_beams, 1.0)  # checks N >= 2
     return (n_beams - 1) ** 2 / 2.0
 
 
@@ -233,8 +236,9 @@ def gamma_sum_kernel(n_terms: int, phase_var: float):
     n_terms = _whole("N", n_terms)
     if n_terms < 1:
         raise ValueError("need at least one term")
-    if not 0.0 < phase_var < math.inf:
-        raise ValueError("phase variance must be positive and finite")
+    if not (phase_var > 0.0 and 0.0 < 2.0 * n_terms * phase_var * phase_var < math.inf):
+        raise ValueError(f"phase variance {phase_var!r} must be positive and give a finite, "
+                         "nonzero gamma variance 2*N*phase_var^2")
     sigma = math.sqrt(phase_var)
 
     def kernel(count, gen):

@@ -218,14 +218,13 @@ def _cascade_config(record):
 
 def _chain_predicted(chain):
     total_gain, stages = chain
-    if stages[0].kind == "phase_sensitive":
-        var_x, var_p = stages[0].gain * VAR_COH, VAR_COH / stages[0].gain
-    else:
-        budget = amp_mod.NoiseBudget(1.0)
-        for spec in stages:
-            budget = amp_mod.predict_variance(spec, budget)
-        var_x = var_p = budget.total_variance
-    return {"mean_x": math.sqrt(total_gain), "var_x": var_x, "var_p": var_p}
+    budget = amp_mod.NoiseBudget(1.0)
+    for spec in stages:
+        budget = amp_mod.predict_variance(spec, budget)
+    var_p = budget.total_variance
+    if stages[0].kind == "phase_sensitive":  # an amp point's one stage; p shrinks by 1/G
+        var_p = (1.0 / stages[0].gain + budget.classical_units) * VAR_COH
+    return {"mean_x": math.sqrt(total_gain), "var_x": budget.total_variance, "var_p": var_p}
 
 
 def _gamma_score(config, stats, k):

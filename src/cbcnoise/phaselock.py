@@ -48,8 +48,7 @@ _MAGNITUDE_SHRINK = 1.0
 
 def two_beam_click_rate(photons: float, dpsi) -> float:
     """Mean dark-port photon number n * (1 - cos(dpsi)) for two beams."""
-    if photons <= 0:
-        raise ValueError("photon number must be positive")
+    sql_phase_variance(2, photons)  # checks n > 0
     rate = photons * (1.0 - np.cos(dpsi))
     return float(rate) if np.ndim(rate) == 0 else rate
 

@@ -17,6 +17,7 @@ from cbcnoise import (
     simulate_amplifier,
     simulate_cascade,
 )
+from cbcnoise.amplifier import KINDS
 
 VACUUM = NoiseBudget(1.0)
 
@@ -68,6 +69,14 @@ def test_classical_background_adds_2gn():
     spec = AmplifierSpec(math.sqrt(2.0), n_cl=1.5)
     out = predict_variance(spec, VACUUM)
     assert out.total_units == pytest.approx(3.0 + 2 * 2.0 * 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_adds_its_classical_excess(kind):
+    clean = predict_variance(AmplifierSpec(2.0, kind=kind), VACUUM)
+    noisy = predict_variance(AmplifierSpec(2.0, kind=kind, n_cl=1.5), VACUUM)
+    assert noisy.quantum_units == clean.quantum_units
+    assert noisy.classical_units - clean.classical_units == pytest.approx(2 * 4.0 * 1.5)
 
 
 def test_predict_variance_rejects_subvacuum_input():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cbcnoise import (
+    VAR_COH,
+    AmplifierSpec,
     CbcConfig,
     ExperimentPlan,
     RngStream,
@@ -13,6 +15,7 @@ from cbcnoise import (
     run_plan,
     simulate_cbc,
 )
+from cbcnoise.amplifier import KINDS
 from cbcnoise.combining import predict_output
 
 
@@ -97,6 +100,19 @@ def test_run_plan_matches_direct_simulation():
 def test_run_plan_other_experiments_pass(experiment, record):
     plan = ExperimentPlan(experiment, (record,), 60_000, 29)
     assert run_plan(plan).all_passed
+
+
+def test_amp_plan_passes_every_kind_with_and_without_excess():
+    # a phase-sensitive stage adds its 2*G*n_cl excess to both quadratures too
+    grid = tuple({"G": big_g, "kind": kind, "n_cl": n_cl} for big_g in (1.0, 2.5, 4.0)
+                 for kind in KINDS for n_cl in (0.0, 0.3))
+    result = run_plan(ExperimentPlan("amp", grid, 200_000, 5))
+    assert result.all_passed, [point.z for point in result.points if not point.passed]
+    for point in result.points:
+        if point.config["kind"] == "phase_sensitive" and point.config["n_cl"] == 0.0:
+            big_g = AmplifierSpec(math.sqrt(point.config["G"])).gain
+            assert point.predicted == {"mean_x": math.sqrt(point.config["G"]),
+                                       "var_x": big_g * VAR_COH, "var_p": VAR_COH / big_g}
 
 
 def test_run_plan_lock_experiments():

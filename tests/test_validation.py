@@ -157,6 +157,28 @@ def test_compare_rejects_unphysical_xi(capsys, xi, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "-n", "1e-320", "--N-max", "3"],
+    ["predict", "-N", "2", "-n", "1e-320", "--cbc"],
+    ["simulate", "lock", "-N", "2", "-n", "1e-320", "--intervals", "3"],
+    ["predict", "-N", "3", "-n", "1e308", "--cbc", "--phase-var", "0.01"],
+], ids=lambda argv: " ".join(argv))
+def test_a_quantum_limit_that_overflows_is_a_usage_error(capsys, argv):
+    # 1/((N-1)*n) is inf for a subnormal n and 0 when (N-1)*n overflows
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "quantum limit 1/((N-1)*n)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("phase_var", ["1e200", "1e-170"])
+def test_gamma_rejects_a_law_variance_out_of_range(capsys, phase_var):
+    # 2*N*phase_var^2 overflows at 1e200 and underflows to zero at 1e-170
+    assert main(["simulate", "gamma", "-N", "2", "--phase-var", phase_var,
+                 "--trials", "1000"]) == 2
+    assert f"phase variance {float(phase_var)!r}" in capsys.readouterr().err
+
+
 def test_compare_rejects_one_beam(capsys):
     assert main(["compare", "--N-min", "1", "--N-max", "3"]) == 2
     assert "two beams" in capsys.readouterr().err
@@ -169,6 +191,11 @@ def test_compare_rejects_one_beam(capsys):
     ["simulate", "amp", "-G", "0", "--kind", "phase_sensitive"],
     ["predict", "--amp", "-G", "-1"],
     ["predict", "--amp", "-G", "0"],
+    ["simulate", "amp", "-G", "0.5"],
+    ["simulate", "amp", "-G", "inf"],
+    ["simulate", "amp", "-G", "nan"],
+    ["simulate", "cascade", "-G", "inf"],
+    ["predict", "--amp", "-G", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_positive_gain_is_a_named_usage_error(capsys, argv):
     assert main(argv + (["--trials", "1000"] if argv[0] == "simulate" else [])) == 2
