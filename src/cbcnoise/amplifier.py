@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, _finite, _whole,
-                       as_generator, gaussian_field, run_chunks)
+from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, _finite, _scalar,
+                       _whole, as_generator, gaussian_field, run_chunks)
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -79,6 +79,7 @@ class NoiseBudget:
     classical_units: float = 0.0
 
     def __post_init__(self):
+        _finite(self, "quantum_units", "classical_units")
         if self.quantum_units <= 0:
             raise ValueError("quantum part must be positive")
         if self.classical_units < 0:
@@ -117,9 +118,7 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     if spec.n_cl > 0:
         # classical excess worth 2*G*n_cl vacuum units, split over quadratures
         out = gaussian_field(out, gen, math.sqrt(2.0 * spec.gain * spec.n_cl * VAR_COH))
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
+    return _scalar(out, complex)
 
 
 def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
@@ -128,7 +127,8 @@ def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
     The quantum floor stays at one unit; added noise and the amplified input
     excess land in the classical part.  For the phase-sensitive case the
     returned budget describes the amplified quadrature, both parts scaled
-    by G.  Every kind then adds its 2*G*n_cl units of classical excess.
+    by G.  Every kind then adds its 2*G*n_cl units of classical excess.  A
+    budget that overflows is an error naming G, or n_cl if only the excess does.
     """
     if budget.quantum_units < 1.0:
         raise ValueError("input below the Heisenberg floor is unphysical here")
@@ -140,7 +140,11 @@ def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
         classical = big_g * budget.classical_units + 2.0 * (big_g - 1.0)
     else:  # measure_prepare
         classical = big_g * (2.0 + budget.classical_units)
-    return NoiseBudget(quantum, classical + 2.0 * big_g * spec.n_cl)
+    excess = 2.0 * spec.n_cl * big_g  # 0, not inf * 0, when n_cl = 0 and 2*G overflows
+    for name, units in (("G", classical), ("n_cl", classical + excess)):
+        if not math.isfinite(units):
+            raise ValueError(f"{name} puts the amplifier noise out of float range")
+    return NoiseBudget(quantum, classical + excess)
 
 
 def cascade(specs, budget: NoiseBudget) -> NoiseBudget:
@@ -194,8 +198,8 @@ def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
     the amplifier's own contribution, which is why the quantum penalty only
     bites for clean inputs.
     """
-    if input_var < VAR_COH:
-        raise ValueError("input variance below the coherent floor is unphysical")
+    if not VAR_COH <= input_var < math.inf:
+        raise ValueError(f"input_var must be finite and at least {VAR_COH}, got {input_var!r}")
     return run_chunks(*chain_kernel([spec], 0.0, math.sqrt(input_var)), trials, rng)
 
 

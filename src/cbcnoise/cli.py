@@ -116,10 +116,9 @@ def _amplifier_budget(big_g) -> NoiseBudget:
     return predict_variance(_gain_spec(big_g), NoiseBudget(1.0))
 
 
-def cmd_predict(args) -> int:
-    chosen = [name for name in ("cbc", "amp", "threshold") if getattr(args, name)]
-    if not chosen:
-        chosen = ["cbc", "amp", "threshold"]
+def cmd_predict(args) -> tuple:
+    sections = ("cbc", "amp", "threshold")
+    chosen = [name for name in sections if getattr(args, name)] or sections
     records = []
     if "cbc" in chosen:
         config = EXPERIMENTS["cbc"].config(_record("cbc", args, "prediction"))
@@ -148,9 +147,7 @@ def cmd_predict(args) -> int:
     for rec in records:
         _print_table([rec])
         print()
-    if args.out:
-        write_output(records, "closed-form predictions", args.out, args.format)
-    return 0
+    return 0, records, "closed-form predictions"
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ def _simulate_records(result) -> list:
     return records
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     if args.plan:
         plan = load_plan(args.plan)
         if args.experiment is not None:
@@ -203,16 +200,14 @@ def cmd_simulate(args) -> int:
     band = f"outside the {plan.tolerance_k:g} standard error band"
     print(f"\n{len(result.points)} point(s), {n_failed} "
           f"{band if any(p.se for p in result.points) else 'failed'} (seed {plan.master_seed})")
-    if args.out:
-        write_output(records, f"{plan.experiment} simulation", args.out, args.format)
-    return 0 if result.all_passed else 1
+    return 0 if result.all_passed else 1, records, f"{plan.experiment} simulation"
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple:
     try:
         xis = [float(x) for x in args.xi.split(",")]
     except ValueError:
@@ -235,9 +230,7 @@ def cmd_compare(args) -> int:
                 "cbc_worse": xi > xi_star,
             })
     _print_table(records)
-    if args.out:
-        write_output(records, "combining versus one amplifier", args.out, args.format)
-    return 0
+    return 0, records, "combining versus one amplifier"
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +312,10 @@ def main(argv=None) -> int:
     if getattr(args, "phase_var", None) is not None:
         args.xi = None  # --phase-var overrides --xi
     try:
-        return args.func(args)
+        status, records, title = args.func(args)
+        if args.out:
+            write_output(records, title, args.out, args.format)
+        return status
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

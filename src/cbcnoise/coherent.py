@@ -52,18 +52,21 @@ def _finite(record, *names):
             raise ValueError(f"{name} must be finite")
 
 
+def _scalar(value, kind=float):
+    """``value`` as a Python ``kind`` (float or complex) if it is a scalar; arrays pass through."""
+    return value if getattr(value, "ndim", 0) else kind(value)
+
+
 def photon_number(alpha):
     """Mean photon number |alpha|^2 of a mean amplitude (scalar or array)."""
     a = np.asarray(alpha)
-    return (a.real ** 2 + a.imag ** 2) if a.ndim else float(a.real ** 2 + a.imag ** 2)
+    return _scalar(a.real ** 2 + a.imag ** 2)
 
 
 def quadratures(alpha):
     """Split a complex amplitude into its (x, p) quadrature pair."""
     a = np.asarray(alpha)
-    if a.ndim:
-        return a.real, a.imag
-    return float(a.real), float(a.imag)
+    return _scalar(a.real), _scalar(a.imag)
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,7 @@ def sample_coherent(mean, rng, size=None):
     output matches the shape of ``mean`` (a scalar mean gives a single
     complex number).
     """
-    out = gaussian_field(np.asarray(mean), as_generator(rng), shape=size)
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
+    return _scalar(gaussian_field(np.asarray(mean), as_generator(rng), shape=size), complex)
 
 
 @dataclass(frozen=True)

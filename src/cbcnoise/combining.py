@@ -60,7 +60,7 @@ def xi_threshold(n_beams: int) -> float:
     holding Var(psi) below xi_threshold * sql_phase_variance(N, n) keeps the
     combined beam quieter than a single quantum-limited amplifier of gain N.
     """
-    sql_phase_variance(n_beams, 1.0)  # checks N >= 2
+    sql_phase_variance(_whole("N", n_beams), 1.0)  # checks N is whole and >= 2
     return (n_beams - 1) ** 2 / 2.0
 
 

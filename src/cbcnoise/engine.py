@@ -38,14 +38,14 @@ import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, _whole, chunk_jobs
-from .coherent import estimate_stats as estimate_stats  # canonical home, re-exported here
-from .coherent import merge_stats as merge_stats  # canonical home, re-exported here
+from .coherent import VAR_COH, QuadratureStats, RngStream, _whole, chunk_jobs, merge_stats
+# kept for perfbench/tracing.py, which wraps engine.estimate_stats; no src code calls it
+from .coherent import estimate_stats as estimate_stats
 from . import amplifier as amp_mod
 from . import combining as cbc_mod
 from . import phaselock as lock_mod
@@ -115,14 +115,12 @@ class ExperimentResult:
 
 def _parse_scalar(text: str):
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -274,8 +272,17 @@ def _lock_jobs(lock, trials, stream):
     return [lambda: lock_mod.run_feedback(lock[0], stream, initial_phases=lock[1])]
 
 
+def _chain_jobs(chain, trials, stream):
+    """Chunks of an amp or cascade point; its predicted var * trials and var / trials fit floats."""
+    jobs = chunk_jobs(*amp_mod.chain_kernel(chain[1]), trials, stream)  # checks trials >= 2
+    for key, value, n_cl in (("G", chain[0], 0.0), ("n_cl", chain[1][0].n_cl, chain[1][0].n_cl)):
+        var = _chain_predicted((chain[0], [replace(s, n_cl=n_cl) for s in chain[1]]))
+        if not all(0 < v / trials and v * trials < math.inf for v in (var["var_x"], var["var_p"])):
+            raise ValueError(f"{key} = {value!r} puts a variance out of range at {trials} trials")
+    return jobs
+
+
 _score_chain = functools.partial(_score_stats, _chain_predicted)  # amp and cascade
-_chain_jobs = _chunked(lambda chain: amp_mod.chain_kernel(chain[1]))
 
 EXPERIMENTS = {
     "cbc": Experiment(("N", "n"), {"phase_var": None, "xi": 1.0}, _cbc_config,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import RngStream, _finite, _whole, photon_number, run_chunks
+from .coherent import RngStream, _finite, _scalar, _whole, photon_number, run_chunks
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -49,8 +49,9 @@ _MAGNITUDE_SHRINK = 1.0
 def two_beam_click_rate(photons: float, dpsi) -> float:
     """Mean dark-port photon number n * (1 - cos(dpsi)) for two beams."""
     sql_phase_variance(2, photons)  # checks n > 0
-    rate = photons * (1.0 - np.cos(dpsi))
-    return float(rate) if np.ndim(rate) == 0 else rate
+    if not np.isfinite(dpsi).all():
+        raise ValueError("dpsi must be finite")
+    return _scalar(photons * (1.0 - np.cos(dpsi)))
 
 
 def min_detectable_phase_var(photons: float, symmetrized: bool = False) -> float:

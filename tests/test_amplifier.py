@@ -102,6 +102,14 @@ def test_cascade_rejects_other_kinds():
         cascade([AmplifierSpec(2.0, kind="measure_prepare")], VACUUM)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_amplify_sample_returns_a_python_complex_for_a_scalar(kind):
+    spec = AmplifierSpec(2.0, kind, n_cl=0.1)
+    assert type(amplify_sample(1 + 0j, spec, RngStream(1))) is complex
+    assert type(amplify_sample(np.array([1 + 0j, 2j]), spec, RngStream(1))) is np.ndarray
+    assert type(amplify_sample(1 + 0j, spec, RngStream(1), size=3)) is np.ndarray
+
+
 def test_amplify_sample_deterministic():
     spec = AmplifierSpec(2.0)
     a = amplify_sample(1 + 0j, spec, RngStream(6), size=128)

@@ -35,6 +35,16 @@ def test_photon_number_and_quadratures():
     assert np.allclose(p, [2.0, -0.5])
 
 
+def test_scalar_inputs_return_python_scalars():
+    # numpy's complex128 and float64 subclass complex and float, so check the exact type
+    assert type(sample_coherent(0.5, RngStream(1))) is complex
+    assert type(photon_number(3 + 4j)) is float
+    assert [type(q) for q in quadratures(3 + 4j)] == [float, float]
+    assert type(sample_coherent(np.array([0.5, 1.0]), RngStream(1))) is np.ndarray
+    assert type(sample_coherent(0.5, RngStream(1), size=3)) is np.ndarray
+    assert type(photon_number(np.array([3 + 4j]))) is np.ndarray
+
+
 def test_sample_coherent_moments():
     rng = RngStream(11)
     samples = sample_coherent(2 + 1j, rng, size=200_000)

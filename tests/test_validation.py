@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, RngStream
-from cbcnoise import gamma_sum_statistics, run_feedback
+from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, NoiseBudget
+from cbcnoise import RngStream, amplify_classical_input, gamma_sum_statistics, run_feedback
+from cbcnoise import two_beam_click_rate, xi_threshold
 from cbcnoise.amplifier import equal_stages
 from cbcnoise.cli import main
 from cbcnoise.engine import EXPERIMENTS
@@ -14,6 +15,7 @@ CBC_XI = {"n_beams": 2, "photons": 100.0, "xi": 1.0}
 CBC_VAR = {"n_beams": 2, "photons": 100.0, "phase_var": 0.01}
 AMP = {"g": 2.0, "n_cl": 0.1}
 LOCK = {"n_beams": 2, "photons": 100.0, "drift_var": 1e-4, "controller_gain": 0.4}
+BUDGET = {"quantum_units": 1.0, "classical_units": 2.0}
 
 # (record type, valid keyword arguments, float field to spoil)
 FLOAT_FIELDS = [
@@ -25,6 +27,8 @@ FLOAT_FIELDS = [
     (FeedbackConfig, LOCK, "photons"),
     (FeedbackConfig, LOCK, "drift_var"),
     (FeedbackConfig, LOCK, "controller_gain"),
+    (NoiseBudget, BUDGET, "quantum_units"),
+    (NoiseBudget, BUDGET, "classical_units"),
 ]
 
 
@@ -258,3 +262,37 @@ def test_lock_rejects_a_non_finite_init_spread(tmp_path, capsys, bad):
 def test_compare_names_xi_in_a_parse_error(capsys, xi):
     assert main(["compare", "--N-min", "2", "--N-max", "4", "--xi", xi]) == 2
     assert f"--xi must be a comma list of numbers, got {xi!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["predict", "--amp", "-G", "1e308"], "G"),
+    (["simulate", "amp", "-G", "1e-320", "--kind", "phase_sensitive", "--trials", "1000"], "G"),
+    (["simulate", "amp", "-G", "1e305", "--trials", "100000"], "G"),
+    (["simulate", "cascade", "-G", "1e305", "--stages", "2", "--trials", "100000"], "G"),
+    (["simulate", "amp", "-G", "1e-305", "--kind", "phase_sensitive", "--trials", "100000"], "G"),
+    (["simulate", "--plan", "{plan}"], "n_cl"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_an_amplifier_out_of_float_range_is_a_named_usage_error(tmp_path, capsys, argv, key):
+    # the predicted variance, times or over the trials, leaves float range: no sample is drawn
+    plan = tmp_path / "plan.txt"
+    plan.write_text("experiment = amp\ntrials = 100000\ngrid.G = 4\ngrid.n_cl = 1e305\n")
+    assert main([arg.format(plan=plan) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {key} " in captured.err
+    assert captured.out == ""
+
+
+def test_an_amplifier_near_the_float_range_still_runs(capsys):
+    assert main(["simulate", "amp", "-G", "1e300", "--trials", "100000"]) == 0
+    assert "1 point(s), 0 outside" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: xi_threshold(2.5), "N must be a whole number, got 2.5"),
+    (lambda: amplify_classical_input(AmplifierSpec(2.0), math.nan, 1000, RngStream(0)),
+     "input_var must be finite"),
+    (lambda: two_beam_click_rate(100.0, math.inf), "dpsi must be finite"),
+], ids=["xi_threshold", "amplify_classical_input", "two_beam_click_rate"])
+def test_entry_points_taking_bare_numbers_follow_the_records_rules(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
