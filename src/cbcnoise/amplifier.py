@@ -21,12 +21,13 @@ total gain, so splitting a gain into stages buys nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, _finite, _scalar,
-                       _whole, as_generator, gaussian_field, run_chunks)
+from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _fits, _scalar, _whole,
+                       as_generator, gaussian_field, run_chunks)
 
 KINDS = ("quantum_limited", "measure_prepare", "phase_sensitive")
 
@@ -61,8 +62,8 @@ class AmplifierSpec:
 
 
 def _gain_spec(big_g: float, kind: str = "quantum_limited", n_cl: float = 0.0) -> AmplifierSpec:
-    """AmplifierSpec of intensity gain G = big_g, which must be positive and finite."""
-    if not 0 < big_g < math.inf:
+    """AmplifierSpec of intensity gain G = big_g, which must be positive and a finite float."""
+    if not 0 < big_g <= sys.float_info.max:
         raise ValueError(f"G must be positive and finite, got {big_g!r}")
     return AmplifierSpec(math.sqrt(big_g), kind, n_cl)
 
@@ -172,20 +173,40 @@ def equal_stages(total_gain: float, stages: int) -> list:
     return [AmplifierSpec(g=total_gain ** (1.0 / (2.0 * stages)))] * stages
 
 
-def chain_kernel(chain, mean=1.0, sigma=_SIGMA_COH):
-    """(kernel, width) for ``run_chunks``: a Gaussian input through a chain.
+def predict_chain(chain, input_units=1.0) -> dict:
+    """Predicted mean_x, var_x and var_p of a (total G, specs) chain on an input of amplitude 1."""
+    total_gain, specs = chain
+    budget = NoiseBudget(1.0, input_units - 1.0)
+    for spec in specs:
+        budget = predict_variance(spec, budget)
+    var_p = budget.total_variance
+    if specs[0].kind == "phase_sensitive":  # an amp point's one stage; p shrinks by 1/G
+        var_p = (input_units / specs[0].gain + 2.0 * specs[0].n_cl * specs[0].gain) * VAR_COH
+    return {"mean_x": math.sqrt(total_gain), "var_x": budget.total_variance, "var_p": var_p}
 
-    Each trial draws an input field with ``gaussian_field`` about ``mean``
-    with per-quadrature standard deviation ``sigma`` (the default is the
-    coherent state), then passes it through the specs of ``chain`` in
-    order, all on the same generator.  The width is the stage count.
+
+def chain_kernel(chain, trials, mean=1.0, input_var=VAR_COH):
+    """(kernel, width) for ``run_chunks``: a Gaussian input through a (total G, specs) chain.
+
+    Each trial draws a ``gaussian_field`` about ``mean`` of per-quadrature variance
+    ``input_var`` (default: a coherent state) and passes it through the specs in order on
+    the same generator; the width is the stage count.  Before any draw, the predicted
+    variances must fit floats at ``trials``, blaming G, else n_cl, else input_var.
     """
+    total_gain, specs = chain
+    n_cl = specs[0].n_cl
+    for name, value, excess, units in (("G", total_gain, 0.0, 1.0), ("n_cl", n_cl, n_cl, 1.0),
+                                       ("input_var", input_var, n_cl, input_var / VAR_COH)):
+        var = predict_chain((total_gain, [replace(s, n_cl=excess) for s in specs]), units)
+        _fits(name, value, (var["var_x"], var["var_p"]), trials)
+    sigma = math.sqrt(input_var)
+
     def kernel(count, gen):
         fields = gaussian_field(mean, gen, sigma, count)
-        for spec in chain:
+        for spec in specs:
             fields = amplify_sample(fields, spec, gen)
         return fields
-    return kernel, len(chain)
+    return kernel, len(specs)
 
 
 def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
@@ -200,12 +221,12 @@ def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
     """
     if not VAR_COH <= input_var < math.inf:
         raise ValueError(f"input_var must be finite and at least {VAR_COH}, got {input_var!r}")
-    return run_chunks(*chain_kernel([spec], 0.0, math.sqrt(input_var)), trials, rng)
+    return run_chunks(*chain_kernel((spec.gain, [spec]), trials, 0.0, input_var), trials, rng)
 
 
 def simulate_amplifier(spec: AmplifierSpec, trials: int, rng: RngStream) -> QuadratureStats:
     """Monte Carlo of one stage driven by an ideal coherent input of amplitude 1."""
-    return run_chunks(*chain_kernel([spec], 1.0), trials, rng)
+    return run_chunks(*chain_kernel((spec.gain, [spec]), trials), trials, rng)
 
 
 def simulate_cascade(total_gain: float, stages: int, trials: int,
@@ -215,4 +236,5 @@ def simulate_cascade(total_gain: float, stages: int, trials: int,
     Each stage has intensity gain total_gain**(1/stages); the measured output
     variance should match the single-stage law for the total gain.
     """
-    return run_chunks(*chain_kernel(equal_stages(total_gain, stages), 1.0), trials, rng)
+    chain = (total_gain, equal_stages(total_gain, stages))
+    return run_chunks(*chain_kernel(chain, trials), trials, rng)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,13 @@ _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a whole float such as 2.0 counts, 2.5, nan and inf do not."""
+def _whole(name: str, value, bound=sys.float_info.max) -> int:
+    """``value`` as an int; 2.0 counts, while 2.5, nan, inf and any |value| > bound do not."""
     if not (isinstance(value, numbers.Integral)
             or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if abs(value) > bound:  # by default, beyond float range
+        raise ValueError(f"{name} is too large for a float")
     return int(value)
 
 
@@ -208,6 +211,13 @@ def _run_chunk(kernel, count, stream):
         z = complex(np.ravel(samples)[0])
         return QuadratureStats(z.real, z.imag, 0.0, 0.0, 1)
     return estimate_stats(samples)
+
+
+def _fits(name: str, value, variances, trials: int):
+    """Raise ValueError naming ``name`` unless each variance v has 0 < v/trials, v*trials < inf."""
+    # fewer than 2 trials are left for chunk_jobs to reject
+    if trials >= 2 and not all(0 < v / trials and v * trials < math.inf for v in variances):
+        raise ValueError(f"{name} {value!r} puts a variance out of float range at {trials} trials")
 
 
 def chunk_jobs(kernel, width: int, trials: int, stream: RngStream) -> list:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _whole, gaussian_field,
-                       run_chunks)
+from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _fits, _whole,
+                       gaussian_field, run_chunks)
 from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -106,6 +106,8 @@ class CbcConfig:
 
 def _beams(amplitudes) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=complex)
+    if a.ndim == 0:  # a scalar is one beam
+        return a.reshape(1)
     if a.size == 0:
         raise ValueError("empty input")
     return a
@@ -145,9 +147,12 @@ def error_photon_number(phases, photons: float) -> float:
     Quadratic form n * sum_j (psi_j - mean(psi))^2, the small-angle limit of
     the exact error-port intensity sum.
     """
+    sql_phase_variance(2, photons)  # checks n > 0
     psi = np.asarray(phases, dtype=float)
     if psi.size == 0:
         raise ValueError("empty input")
+    if not np.isfinite(psi).all():
+        raise ValueError("phases must be finite")
     d = psi - psi.mean()
     return float(photons * np.dot(d, d))
 
@@ -213,7 +218,12 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
 
 
 def cbc_kernel(config: CbcConfig):
-    """(kernel, width) for ``run_chunks``: combined-port samples of ``config``, N wide."""
+    """(kernel, width) for ``run_chunks``: combined-port samples of ``config``, N wide.
+
+    The sampler's float32 phases must hold 64 standard deviations (phase_var below ~2.8e73).
+    """
+    if not 64.0 * math.sqrt(config.phase_var) < float(np.finfo(np.float32).max):
+        raise ValueError(f"phase_var {config.phase_var!r} puts the phases out of float32 range")
     return (lambda count, gen: sample_cbc_outputs(config, count, gen)), config.n_beams
 
 
@@ -226,19 +236,20 @@ def simulate_cbc(config: CbcConfig, trials: int, rng: RngStream) -> QuadratureSt
     return run_chunks(*cbc_kernel(config), trials, rng)
 
 
-def gamma_sum_kernel(n_terms: int, phase_var: float):
+def gamma_sum_kernel(n_terms: int, phase_var: float, trials: int):
     """(kernel, width) for ``run_chunks``: one sum(psi_k^2) over k = 1..N per trial, N wide.
 
     The phases are independent zero-mean Gaussians of variance phase_var;
     each sum is returned as a real sample, so it lands in the x quadrature
-    of the chunk statistics.
+    of the chunk statistics.  Its law variance 2*N*phase_var^2 must fit
+    floats at ``trials``.
     """
     n_terms = _whole("N", n_terms)
     if n_terms < 1:
         raise ValueError("need at least one term")
-    if not (phase_var > 0.0 and 0.0 < 2.0 * n_terms * phase_var * phase_var < math.inf):
-        raise ValueError(f"phase variance {phase_var!r} must be positive and give a finite, "
-                         "nonzero gamma variance 2*N*phase_var^2")
+    if not 0.0 < phase_var < math.inf:
+        raise ValueError(f"phase variance {phase_var!r} must be positive and finite")
+    _fits("phase variance", phase_var, [2.0 * n_terms * phase_var * phase_var], trials)
     sigma = math.sqrt(phase_var)
 
     def kernel(count, gen):
@@ -254,5 +265,5 @@ def gamma_sum_statistics(n_terms: int, phase_var: float, trials: int, rng: RngSt
     with shape N/2 and scale 2*phase_var, so the mean is N*phase_var and the
     variance 2*N*phase_var^2.  Returns (mean, variance).
     """
-    stats = run_chunks(*gamma_sum_kernel(n_terms, phase_var), trials, rng)
+    stats = run_chunks(*gamma_sum_kernel(n_terms, phase_var, trials), trials, rng)
     return stats.mean_x, stats.var_x

@@ -38,12 +38,12 @@ import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import VAR_COH, QuadratureStats, RngStream, _whole, chunk_jobs, merge_stats
+from .coherent import QuadratureStats, RngStream, _whole, chunk_jobs, merge_stats
 # kept for perfbench/tracing.py, which wraps engine.estimate_stats; no src code calls it
 from .coherent import estimate_stats as estimate_stats
 from . import amplifier as amp_mod
@@ -52,10 +52,10 @@ from . import phaselock as lock_mod
 
 
 def _number(name: str, value) -> float:
-    """``value`` as a float; text such as 'abc' is not a number."""
+    """``value`` as a float; text such as 'abc' is not a number, and an int must fit a float."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return float(_whole(name, value) if isinstance(value, numbers.Integral) else value)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in ("trials", "master_seed"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        object.__setattr__(self, "trials", _whole("trials", self.trials))
+        # the seed may be any nonnegative whole number, as for numpy's SeedSequence
+        object.__setattr__(self, "master_seed", _whole("master_seed", self.master_seed, math.inf))
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "tolerance_k", _number("tolerance_k", self.tolerance_k))
@@ -173,8 +174,8 @@ class Experiment(NamedTuple):
 
 
 def _chunked(factory):
-    """Jobs of a Monte Carlo point: the chunks of the (kernel, width) of factory(config)."""
-    return lambda config, trials, stream: chunk_jobs(*factory(config), trials, stream)
+    """Jobs of a Monte Carlo point: the chunks of the (kernel, width) of factory(config, trials)."""
+    return lambda config, trials, stream: chunk_jobs(*factory(config, trials), trials, stream)
 
 
 def _judged(stats, measured, predicted, se, k):
@@ -212,17 +213,6 @@ def _amp_config(record):
 def _cascade_config(record):
     total_gain = _number("G", record["G"])
     return total_gain, amp_mod.equal_stages(total_gain, record["stages"])
-
-
-def _chain_predicted(chain):
-    total_gain, stages = chain
-    budget = amp_mod.NoiseBudget(1.0)
-    for spec in stages:
-        budget = amp_mod.predict_variance(spec, budget)
-    var_p = budget.total_variance
-    if stages[0].kind == "phase_sensitive":  # an amp point's one stage; p shrinks by 1/G
-        var_p = (1.0 / stages[0].gain + budget.classical_units) * VAR_COH
-    return {"mean_x": math.sqrt(total_gain), "var_x": budget.total_variance, "var_p": var_p}
 
 
 def _gamma_score(config, stats, k):
@@ -272,26 +262,16 @@ def _lock_jobs(lock, trials, stream):
     return [lambda: lock_mod.run_feedback(lock[0], stream, initial_phases=lock[1])]
 
 
-def _chain_jobs(chain, trials, stream):
-    """Chunks of an amp or cascade point; its predicted var * trials and var / trials fit floats."""
-    jobs = chunk_jobs(*amp_mod.chain_kernel(chain[1]), trials, stream)  # checks trials >= 2
-    for key, value, n_cl in (("G", chain[0], 0.0), ("n_cl", chain[1][0].n_cl, chain[1][0].n_cl)):
-        var = _chain_predicted((chain[0], [replace(s, n_cl=n_cl) for s in chain[1]]))
-        if not all(0 < v / trials and v * trials < math.inf for v in (var["var_x"], var["var_p"])):
-            raise ValueError(f"{key} = {value!r} puts a variance out of range at {trials} trials")
-    return jobs
-
-
-_score_chain = functools.partial(_score_stats, _chain_predicted)  # amp and cascade
+_chain = (_chunked(amp_mod.chain_kernel), functools.partial(_score_stats, amp_mod.predict_chain))
 
 EXPERIMENTS = {
     "cbc": Experiment(("N", "n"), {"phase_var": None, "xi": 1.0}, _cbc_config,
-                      _chunked(cbc_mod.cbc_kernel),
+                      _chunked(lambda config, _: cbc_mod.cbc_kernel(config)),
                       functools.partial(_score_stats, _cbc_predicted)),
     "amp": Experiment(("G",), {"kind": amp_mod.AmplifierSpec.kind,
                                "n_cl": amp_mod.AmplifierSpec.n_cl},
-                      _amp_config, _chain_jobs, _score_chain),
-    "cascade": Experiment(("G",), {"stages": 1}, _cascade_config, _chain_jobs, _score_chain),
+                      _amp_config, *_chain),
+    "cascade": Experiment(("G",), {"stages": 1}, _cascade_config, *_chain),
     "lock": Experiment(("N", "n"), {"drift_var": lock_mod.FeedbackConfig.drift_var,
                                     "gain": lock_mod.FeedbackConfig.controller_gain,
                                     "intervals": lock_mod.FeedbackConfig.intervals,
@@ -299,7 +279,7 @@ EXPERIMENTS = {
                        _lock_config, _lock_jobs, _lock_score),
     "gamma": Experiment(("N", "phase_var"), {},
                         lambda r: (r["N"], _number("phase_var", r["phase_var"])),
-                        _chunked(lambda c: cbc_mod.gamma_sum_kernel(*c)), _gamma_score),
+                        _chunked(lambda c, t: cbc_mod.gamma_sum_kernel(*c, t)), _gamma_score),
 }
 
 

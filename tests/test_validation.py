@@ -7,6 +7,9 @@ import pytest
 from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, NoiseBudget
 from cbcnoise import RngStream, amplify_classical_input, gamma_sum_statistics, run_feedback
 from cbcnoise import two_beam_click_rate, xi_threshold
+from cbcnoise import SmallAngleWarning, combine_port_amplitude, dft, error_photon_number
+from cbcnoise import error_signals, inverse_dft, run_plan, sample_coherent, simulate_amplifier
+from cbcnoise import simulate_cascade
 from cbcnoise.amplifier import equal_stages
 from cbcnoise.cli import main
 from cbcnoise.engine import EXPERIMENTS
@@ -296,3 +299,110 @@ def test_an_amplifier_near_the_float_range_still_runs(capsys):
 def test_entry_points_taking_bare_numbers_follow_the_records_rules(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: simulate_amplifier(AmplifierSpec(1e152), 100000, RngStream(0)), "G"),
+    (lambda: simulate_cascade(1e305, 2, 100000, RngStream(0)), "G"),
+    (lambda: amplify_classical_input(AmplifierSpec(2.0), 1e305, 100000, RngStream(0)), "input_var"),
+    (lambda: gamma_sum_statistics(8, 1e152, 100000, RngStream(0)), "phase variance"),
+], ids=["simulate_amplifier", "simulate_cascade", "amplify_classical_input", "gamma"])
+def test_a_library_ensemble_out_of_float_range_draws_nothing(monkeypatch, make, key):
+    # the predicted variance times the trials is inf: rejected before the first generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
+    with pytest.raises(ValueError, match=f"^{key} .* out of float range at 100000 trials"):
+        make()
+
+
+def test_a_gamma_law_variance_times_the_trials_out_of_range_is_a_usage_error(capsys):
+    # 2*N*v^2 = 1.6e305 is finite, but not once multiplied by 100000 trials
+    assert main(["simulate", "gamma", "-N", "8", "--phase-var", "1e152",
+                 "--trials", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "error: phase variance 1e+152 " in captured.err
+    assert captured.out == ""
+
+
+BIG = "1" + "0" * 400  # a whole number no float can hold
+
+
+@pytest.mark.parametrize("argv, plan, message", [
+    (["predict", "--threshold", "-N", BIG], "", "N is too large"),
+    (["predict", "--amp", "-N", BIG], "", "G must be positive and finite"),
+    (["simulate", "cbc", "-N", BIG, "-n", "100"], "", "N is too large"),
+    (["simulate", "lock", "-N", BIG, "-n", "100"], "", "N is too large"),
+    (["simulate", "gamma", "-N", BIG, "--phase-var", "0.01", "--trials", "1000"], "",
+     "N is too large"),
+    (["simulate", "cascade", "-G", "4", "--stages", BIG, "--trials", "1000"], "",
+     "stages is too large"),
+    (["compare", "--N-min", BIG, "--N-max", BIG], "", "N is too large"),
+    (["simulate", "--plan", "{plan}"], f"cbc\ngrid.N = {BIG}\ngrid.n = 100", "N is too large"),
+    (["simulate", "--plan", "{plan}"], f"cbc\ngrid.N = 2\ngrid.n = {BIG}", "n is too large"),
+    (["simulate", "--plan", "{plan}"], f"amp\ngrid.G = {BIG}", "G is too large"),
+], ids=["threshold", "predict-amp", "cbc", "lock", "gamma", "cascade", "compare", "plan-N",
+        "plan-n", "plan-G"])
+def test_a_count_or_gain_beyond_float_range_is_a_usage_error(tmp_path, capsys, argv, plan,
+                                                             message):
+    path = tmp_path / "plan.txt"
+    path.write_text(f"experiment = {plan}\ntrials = 1000\n")
+    assert main([arg.format(plan=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_a_seed_beyond_float_range_still_runs():
+    # numpy's SeedSequence takes any nonnegative whole number
+    plan = ExperimentPlan("cbc", ({"N": 2, "n": 100},), 1000, int(BIG))
+    assert plan.master_seed == int(BIG) and len(run_plan(plan).points) == 1
+
+
+def test_the_combiner_takes_a_scalar_as_one_beam():
+    for transform in (dft, inverse_dft):
+        assert transform(1.0).tolist() == [1.0 + 0j]
+    assert error_signals(1.0).tolist() == [0j]
+    assert combine_port_amplitude(1.0) == 1.0 + 0j
+
+
+@pytest.mark.parametrize("phases, photons, message", [
+    ([0.1, 0.2], -1.0, "photon number must be positive"),
+    ([0.1, math.nan], 100.0, "phases must be finite"),
+    ([0.1, math.inf], 100.0, "phases must be finite"),
+], ids=["negative-n", "nan-phase", "inf-phase"])
+def test_error_photon_number_follows_the_records_rules(phases, photons, message):
+    with pytest.raises(ValueError, match=message):
+        error_photon_number(phases, photons)
+
+
+def test_cbc_phases_beyond_float32_are_a_usage_error(capsys):
+    # a float32 phase past 3.4e38 is inf, and every measured column would read nan
+    with pytest.warns(SmallAngleWarning):
+        assert main(["simulate", "cbc", "-N", "2", "-n", "1", "--phase-var", "1e78",
+                     "--trials", "1000"]) == 2
+    assert "error: phase_var 1e+78 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: AmplifierSpec(0.0, "phase_sensitive"), ValueError, "gain must be positive"),
+    (lambda: equal_stages(4.0, 0), ValueError, "at least one stage"),
+    (lambda: sample_coherent(0.0, 42), TypeError, "expected RngStream or numpy Generator"),
+    (lambda: CbcConfig(2, 100.0, phase_var=-0.1), ValueError, "must be nonnegative"),
+    (lambda: error_photon_number([], 100.0), ValueError, "empty input"),
+    (lambda: gamma_sum_statistics(0, 0.01, 1000, RngStream(0)), ValueError, "at least one term"),
+], ids=["phase-sensitive-g", "stages", "generator", "phase_var", "no-phases", "no-terms"])
+def test_each_library_rejection_names_its_cause(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--amp"], "amplifier prediction needs -G"),
+    (["predict", "--threshold"], "threshold prediction needs -N"),
+    (["simulate", "cbc", "--plan", "{plan}"], "give either an experiment name or --plan"),
+    (["compare", "--N-min", "5", "--N-max", "3"], "empty N range"),
+], ids=["predict-amp", "predict-threshold", "name-and-plan", "compare"])
+def test_each_usage_rejection_names_its_cause(tmp_path, capsys, argv, message):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("experiment = cbc\ntrials = 1000\ngrid.N = 2\ngrid.n = 100\n")
+    assert main([arg.format(plan=plan) for arg in argv]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
