@@ -221,6 +221,8 @@ def amplify_classical_input(spec: AmplifierSpec, input_var: float, trials: int,
     """
     if not VAR_COH <= input_var < math.inf:
         raise ValueError(f"input_var must be finite and at least {VAR_COH}, got {input_var!r}")
+    if input_var / VAR_COH == math.inf:  # the chain counts its noise in vacuum units
+        raise ValueError(f"input_var {input_var!r} is beyond float range in vacuum units")
     return run_chunks(*chain_kernel((spec.gain, [spec]), trials, 0.0, input_var), trials, rng)
 
 

@@ -217,13 +217,18 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     return gaussian_field(math.sqrt(config.photons / config.n_beams) * (x + 1j * p), gen)
 
 
-def cbc_kernel(config: CbcConfig):
+def cbc_kernel(config: CbcConfig, trials: int):
     """(kernel, width) for ``run_chunks``: combined-port samples of ``config``, N wide.
 
-    The sampler's float32 phases must hold 64 standard deviations (phase_var below ~2.8e73).
+    The sampler's float32 phases must hold 64 standard deviations (phase_var below ~2.8e73),
+    and the exact Gaussian-phase variances 1/4 + n*(1-e^-v)^2/2 and 1/4 + n*(1-e^-2v)/2, not
+    the unbounded quadratic ones, must fit floats at ``trials``, blaming n, before any draw.
     """
-    if not 64.0 * math.sqrt(config.phase_var) < float(np.finfo(np.float32).max):
-        raise ValueError(f"phase_var {config.phase_var!r} puts the phases out of float32 range")
+    v, n = config.phase_var, config.photons
+    if not 64.0 * math.sqrt(v) < float(np.finfo(np.float32).max):
+        raise ValueError(f"phase_var {v!r} puts the phases out of float32 range")
+    _fits("n", n, [VAR_COH + n * math.expm1(-v) ** 2 / 2, VAR_COH - n * math.expm1(-2 * v) / 2],
+          trials)
     return (lambda count, gen: sample_cbc_outputs(config, count, gen)), config.n_beams
 
 
@@ -233,7 +238,7 @@ def simulate_cbc(config: CbcConfig, trials: int, rng: RngStream) -> QuadratureSt
     Runs through ``run_chunks``, so the result is bit-identical for any
     degree of parallelism that respects its chunk layout.
     """
-    return run_chunks(*cbc_kernel(config), trials, rng)
+    return run_chunks(*cbc_kernel(config, trials), trials, rng)
 
 
 def gamma_sum_kernel(n_terms: int, phase_var: float, trials: int):

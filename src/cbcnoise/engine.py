@@ -28,7 +28,9 @@ Every ``grid.<name>`` key holds a comma-separated value list; the grid is
 the cross product in key order.  Numbers are parsed as int when they look
 like ints, float otherwise; anything else stays a string.  Each record must
 give its experiment's keys and may give its options, which default as in
-``EXPERIMENTS``; any other grid key is an error.
+``EXPERIMENTS``; any other grid key is an error.  ``run_plan`` reads each
+value of a completed record as a number once, except a text option such as
+amp's ``kind``, so the table's adapters hand values straight to the records.
 """
 
 from __future__ import annotations
@@ -192,8 +194,7 @@ def _score_stats(predict, config, stats, k):
 
 def _cbc_config(record) -> cbc_mod.CbcConfig:
     spread = "xi" if record.get("phase_var") is None else "phase_var"
-    return cbc_mod.CbcConfig(record["N"], _number("n", record["n"]),
-                             **{spread: _number(spread, record[spread])})
+    return cbc_mod.CbcConfig(record["N"], record["n"], **{spread: record[spread]})
 
 
 def _cbc_predicted(config):
@@ -205,14 +206,11 @@ def _cbc_predicted(config):
 
 
 def _amp_config(record):
-    total_gain = _number("G", record["G"])
-    return total_gain, [amp_mod._gain_spec(total_gain, str(record["kind"]),
-                                           _number("n_cl", record["n_cl"]))]
+    return record["G"], [amp_mod._gain_spec(record["G"], str(record["kind"]), record["n_cl"])]
 
 
 def _cascade_config(record):
-    total_gain = _number("G", record["G"])
-    return total_gain, amp_mod.equal_stages(total_gain, record["stages"])
+    return record["G"], amp_mod.equal_stages(record["G"], record["stages"])
 
 
 def _gamma_score(config, stats, k):
@@ -231,14 +229,9 @@ def _gamma_score(config, stats, k):
 
 def _lock_config(record):
     """(FeedbackConfig, initial phases or None) for one lock point."""
-    config = lock_mod.FeedbackConfig(
-        n_beams=record["N"],
-        photons=_number("n", record["n"]),
-        drift_var=_number("drift_var", record["drift_var"]),
-        controller_gain=_number("gain", record["gain"]),
-        intervals=record["intervals"],
-    )
-    spread = _number("init_spread", record["init_spread"])
+    config = lock_mod.FeedbackConfig(record["N"], record["n"], drift_var=record["drift_var"],
+                                     controller_gain=record["gain"], intervals=record["intervals"])
+    spread = record["init_spread"]
     pattern = np.resize([1.0, -1.0], config.n_beams)  # +1, -1, +1, ...; centred below
     return config, spread * (pattern - pattern.mean()) if spread else None
 
@@ -266,7 +259,7 @@ _chain = (_chunked(amp_mod.chain_kernel), functools.partial(_score_stats, amp_mo
 
 EXPERIMENTS = {
     "cbc": Experiment(("N", "n"), {"phase_var": None, "xi": 1.0}, _cbc_config,
-                      _chunked(lambda config, _: cbc_mod.cbc_kernel(config)),
+                      _chunked(cbc_mod.cbc_kernel),
                       functools.partial(_score_stats, _cbc_predicted)),
     "amp": Experiment(("G",), {"kind": amp_mod.AmplifierSpec.kind,
                                "n_cl": amp_mod.AmplifierSpec.n_cl},
@@ -277,8 +270,7 @@ EXPERIMENTS = {
                                     "intervals": lock_mod.FeedbackConfig.intervals,
                                     "init_spread": 0.0},
                        _lock_config, _lock_jobs, _lock_score),
-    "gamma": Experiment(("N", "phase_var"), {},
-                        lambda r: (r["N"], _number("phase_var", r["phase_var"])),
+    "gamma": Experiment(("N", "phase_var"), {}, lambda r: (r["N"], r["phase_var"]),
                         _chunked(lambda c, t: cbc_mod.gamma_sum_kernel(*c, t)), _gamma_score),
 }
 
@@ -290,10 +282,15 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     ``workers`` only controls scheduling; streams and merge order are fixed
     by the plan, so results are identical for any worker count.
     """
+    if _whole("workers", workers) < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     experiment = EXPERIMENTS[plan.experiment]
     base = RngStream(plan.master_seed)
-    # an option a record leaves out takes its default
-    configs = [experiment.config({**experiment.options, **record}) for record in plan.grid]
+    texts = {key for key, default in experiment.options.items() if isinstance(default, str)}
+    # an option a record leaves out takes its default, and each value but None or text is a number
+    configs = [experiment.config({key: v if v is None or key in texts else _number(key, v)
+                                  for key, v in {**experiment.options, **record}.items()})
+               for record in plan.grid]
     point_jobs = [experiment.jobs(config, plan.trials, base.substream(p_idx))
                   for p_idx, config in enumerate(configs)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -247,6 +247,20 @@ def test_plan_options_take_their_defaults():
         assert (a.stats, a.measured) == (b.stats, b.measured)
 
 
+@pytest.mark.parametrize("experiment, ints, floats", [
+    ("gamma", {"N": 4, "phase_var": 1}, {"N": 4, "phase_var": 1.0}),
+    ("amp", {"G": 4, "n_cl": 0}, {"G": 4.0, "n_cl": 0.0}),
+    ("lock", {"N": 2, "n": 1000, "drift_var": 0, "gain": 1},
+     {"N": 2, "n": 1000.0, "drift_var": 0.0, "gain": 1.0}),
+])
+def test_a_plan_spelled_with_ints_runs_as_its_float_spelling(experiment, ints, floats):
+    # run_plan reads each value as a number once, so 1 and 1.0 give the same point
+    a = run_plan(ExperimentPlan(experiment, (ints,), 2000, 3)).points[0]
+    b = run_plan(ExperimentPlan(experiment, (floats,), 2000, 3)).points[0]
+    assert a == b
+    assert all(type(v) is float for v in a.predicted.values())
+
+
 def test_run_plan_needs_a_worker():
     plan = ExperimentPlan("cbc", ({"N": 2, "n": 100, "xi": 1.0},), 1000, 0)
     with pytest.raises(ValueError):

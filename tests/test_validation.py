@@ -9,7 +9,8 @@ from cbcnoise import RngStream, amplify_classical_input, gamma_sum_statistics, r
 from cbcnoise import two_beam_click_rate, xi_threshold
 from cbcnoise import SmallAngleWarning, combine_port_amplitude, dft, error_photon_number
 from cbcnoise import error_signals, inverse_dft, run_plan, sample_coherent, simulate_amplifier
-from cbcnoise import simulate_cascade
+from cbcnoise import simulate_cascade, simulate_cbc
+from cbcnoise import engine
 from cbcnoise.amplifier import equal_stages
 from cbcnoise.cli import main
 from cbcnoise.engine import EXPERIMENTS
@@ -306,12 +307,57 @@ def test_entry_points_taking_bare_numbers_follow_the_records_rules(make, message
     (lambda: simulate_cascade(1e305, 2, 100000, RngStream(0)), "G"),
     (lambda: amplify_classical_input(AmplifierSpec(2.0), 1e305, 100000, RngStream(0)), "input_var"),
     (lambda: gamma_sum_statistics(8, 1e152, 100000, RngStream(0)), "phase variance"),
-], ids=["simulate_amplifier", "simulate_cascade", "amplify_classical_input", "gamma"])
+    (lambda: simulate_cbc(CbcConfig(2, 1e306, phase_var=0.01), 100000, RngStream(0)), "n"),
+], ids=["simulate_amplifier", "simulate_cascade", "amplify_classical_input", "gamma",
+        "simulate_cbc"])
 def test_a_library_ensemble_out_of_float_range_draws_nothing(monkeypatch, make, key):
     # the predicted variance times the trials is inf: rejected before the first generator
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
     with pytest.raises(ValueError, match=f"^{key} .* out of float range at 100000 trials"):
         make()
+
+
+def test_a_cbc_variance_out_of_float_range_is_a_named_usage_error(capsys):
+    # the exact var_p, about n*v = 1e304, is finite, but not once multiplied by 100000 trials
+    assert main(["simulate", "cbc", "-N", "2", "-n", "1e306", "--phase-var", "0.01",
+                 "--trials", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "error: n 1e+306 " in captured.err
+    assert captured.out == ""
+
+
+def test_a_cbc_ensemble_near_the_float_range_still_runs():
+    stats = simulate_cbc(CbcConfig(2, 1e300, phase_var=0.01), 100000, RngStream(0))
+    assert all(map(math.isfinite, (stats.mean_x, stats.var_x, stats.var_p)))
+
+
+def test_an_input_var_beyond_float_range_in_vacuum_units_draws_nothing(monkeypatch):
+    # 5e307 is finite, but 5e307 / 0.25 vacuum units is not
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
+    with pytest.raises(ValueError, match=r"^input_var 5e\+307 ") as excinfo:
+        amplify_classical_input(AmplifierSpec(1.0), 5e307, 2, RngStream(0))
+    assert "finite" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("workers, message", [
+    (0, "workers must be at least 1, got 0"),
+    (-1, "workers must be at least 1, got -1"),
+    (2.5, "workers must be a whole number, got 2.5"),
+])
+def test_a_worker_count_below_one_or_fractional_is_named(monkeypatch, capsys, workers, message):
+    # rejected before a pool is started
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", lambda **_: pytest.fail("started a pool"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_plan(ExperimentPlan("cbc", ({"N": 2, "n": 100},), 1000), workers=workers)
+    argv = ["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
+            "--workers", str(workers)]
+    if workers == 2.5:  # --workers is parsed as an int, so argparse names the flag
+        with pytest.raises(SystemExit, match="2"):
+            main(argv)
+        assert "argument --workers: invalid int value: '2.5'" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_a_gamma_law_variance_times_the_trials_out_of_range_is_a_usage_error(capsys):

@@ -1,0 +1,80 @@
+"""Check that two source trees give byte-identical cbcnoise outputs.
+
+    python tools/compare_outputs.py OLD_TREE NEW_TREE
+
+Runs each command with PYTHONPATH=<tree>/src in one temporary directory per tree, writing csv
+and json ``--out`` files, and each demo once.  Exits 1 naming the first output that differs
+(--out file, stdout, stderr with the tree's path masked, exit code), 2 on bad arguments.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+PLANS = {  # int-spelled values, read as numbers by run_plan
+    "cbc": "grid.N = 2, 4\ngrid.n = 100\ngrid.xi = 1, 5",
+    "amp": "grid.G = 4\ngrid.kind = quantum_limited, phase_sensitive\ngrid.n_cl = 0, 1",
+    "cascade": "grid.G = 16\ngrid.stages = 1, 2",
+    "gamma": "grid.N = 4\ngrid.phase_var = 1",
+    "lock": "grid.N = 2\ngrid.n = 1000\ngrid.drift_var = 0\ngrid.gain = 1\ngrid.intervals = 20",
+}
+COMMANDS = [
+    "predict -N 4 -n 1000 --xi 1",
+    "simulate cbc -N 4 -n 1000 --xi 1 --trials 200000 --seed 7",
+    "simulate amp -G 4 --kind measure_prepare --trials 200000",
+    "simulate lock -N 2 -n 10000 --init-spread 0.05 --intervals 60",
+    "compare --N-min 2 --N-max 64 -n 1000 --xi 3",
+    *(f"simulate amp -G 4 --kind {kind} --trials 50000 --seed 3"
+      for kind in ("quantum_limited", "measure_prepare", "phase_sensitive")),
+    "simulate amp -G 1e300 --trials 100000",
+    "simulate cascade -G 16 --stages 4 --trials 50000",
+    "simulate gamma -N 10 --phase-var 0.01 --trials 50000",
+    "simulate lock -N 4 -n 1000 --drift-var 1e-3 --intervals 40 --seed 3",
+    "simulate lock -N 8 -n 100 --gain 1 --intervals 30",
+    "compare --N-min 2 --N-max 8 -n 1000 --xi 1,5",
+    *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
+]
+DEMOS = ("amplifier_noise_penalty", "cbc_vs_amplifier", "combining_noise_scaling",
+         "phase_lock_feedback", "quantum_noise_basics")
+RUNS = [(["-m", "cbcnoise.cli", *cmd.split(), *fmt], fmt[-1]) for cmd in COMMANDS
+        for fmt in (["--out", "out.csv"], ["--format", "json", "--out", "out.json"])]
+RUNS += [([os.path.join("{tree}", "demos", f"{demo}.py")], None) for demo in DEMOS]
+
+
+def run(tree: str, workdir: str, argv: list, out) -> tuple:
+    """(exit code, stdout, stderr, bytes written to ``out`` or None) of one run on ``tree``."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    done = subprocess.run([sys.executable, *(a.format(tree=tree) for a in argv)], cwd=workdir,
+                          env=env, capture_output=True)
+    path = pathlib.Path(workdir, out or "no --out")
+    written = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    masked = (stream.replace(tree.encode(), b"<tree>") for stream in (done.stdout, done.stderr))
+    return (done.returncode, *masked, written)
+
+
+def main() -> int:
+    trees = [os.path.abspath(tree) for tree in sys.argv[1:]]
+    if len(trees) != 2 or not all(os.path.isdir(os.path.join(tree, "src")) for tree in trees):
+        print("usage: compare_outputs.py OLD_TREE NEW_TREE (each holding src/)", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        for workdir in (old_dir, new_dir):
+            for name, grid in PLANS.items():
+                text = f"experiment = {name}\ntrials = 20000\nseed = 5\n{grid}\n"
+                pathlib.Path(workdir, f"plan_{name}.txt").write_text(text)
+        for argv, out in RUNS:
+            results = [run(tree, work, argv, out) for tree, work in zip(trees, (old_dir, new_dir))]
+            for field, old, new in zip(("exit code", "stdout", "stderr", out), *results):
+                if old != new:
+                    print(f"differs: {field} of {' '.join(argv)}", file=sys.stderr)
+                    return 1
+    print(f"{len(RUNS)} runs matched in --out, stdout, stderr and exit code "
+          f"({len(COMMANDS)} commands in csv and json, {len(DEMOS)} demos)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
