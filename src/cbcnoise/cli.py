@@ -22,8 +22,8 @@ import sys
 
 from .coherent import VAR_COH
 from .combining import CbcConfig, predict_output, xi_threshold
-from .amplifier import KINDS, NoiseBudget, _gain_spec, predict_variance
-from .engine import EXPERIMENTS, ExperimentPlan, load_plan, run_plan
+from .amplifier import KINDS, _gain_spec, predict_chain
+from .engine import EXPERIMENTS, ExperimentPlan, _parse_scalar, load_plan, run_plan
 
 # Unit of every column the commands write, and of every quantity named
 # after a measured_, predicted_ or se_ prefix; each text is written once.
@@ -111,11 +111,6 @@ def _print_table(records):
 # predict
 
 
-def _amplifier_budget(big_g) -> NoiseBudget:
-    """Output budget of a quantum-limited amplifier of intensity gain big_g on a coherent input."""
-    return predict_variance(_gain_spec(big_g), NoiseBudget(1.0))
-
-
 def cmd_predict(args) -> tuple:
     sections = ("cbc", "amp", "threshold")
     chosen = [name for name in sections if getattr(args, name)] or sections
@@ -135,11 +130,10 @@ def cmd_predict(args) -> tuple:
         big_g = args.G if args.G is not None else args.N
         if big_g is None:
             raise ValueError("amplifier prediction needs -G (or -N to default to G = N)")
-        budget = _amplifier_budget(big_g)
-        records.append({
-            "kind": "amp", "G": float(big_g),
-            "var": budget.total_variance, "var_units": budget.total_units,
-        })
+        if isinstance(big_g, str):  # -N read as text; -G is a float
+            raise ValueError(f"N must be a number, got {big_g!r}")
+        var = predict_chain((big_g, [_gain_spec(big_g)]))["var_x"]
+        records.append({"kind": "amp", "G": float(big_g), "var": var, "var_units": var / VAR_COH})
     if "threshold" in chosen:
         if args.N is None:
             raise ValueError("threshold prediction needs -N")
@@ -217,7 +211,7 @@ def cmd_compare(args) -> tuple:
     records = []
     for n_beams in range(args.N_min, args.N_max + 1):
         xi_star = xi_threshold(n_beams)  # first, so N < 2 is named as too few beams
-        amp_units = _amplifier_budget(n_beams).total_units
+        amp_units = predict_chain((n_beams, [_gain_spec(n_beams)]))["var_x"] / VAR_COH
         for xi in xis:
             config = CbcConfig(n_beams, args.n, xi=xi)
             records.append({
@@ -246,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_point(p, beams_help, gain_help):
-        p.add_argument("-N", type=int, help=beams_help)
+        p.add_argument("-N", type=_parse_scalar, help=beams_help)
         p.add_argument("-n", type=float, help="photons per beam")
         p.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
                        help="phase accuracy factor in quantum-limit units (default %(default)s)")
@@ -271,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("experiment", nargs="?", choices=tuple(EXPERIMENTS))
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
     add_point(p_sim, "number of beams (or gamma terms)", "amplifier intensity gain")
-    p_sim.add_argument("--stages", type=int, default=EXPERIMENTS["cascade"].options["stages"],
+    p_sim.add_argument("--stages", type=_parse_scalar, default=EXPERIMENTS["cascade"].options["stages"],
                        help="cascade stage count (default %(default)s)")
     p_sim.add_argument("--kind", choices=KINDS, default=EXPERIMENTS["amp"].options["kind"],
                        help="amplifier model (default %(default)s)")
@@ -280,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lock: per-interval phase drift variance in rad^2")
     p_sim.add_argument("--gain", type=float, default=lock["gain"],
                        help="lock: controller gain")
-    p_sim.add_argument("--intervals", type=int, default=lock["intervals"],
+    p_sim.add_argument("--intervals", type=_parse_scalar, default=lock["intervals"],
                        help="lock: correction intervals")
     p_sim.add_argument("--init-spread", type=float, dest="init_spread",
                        default=lock["init_spread"],
                        help="lock: initial alternating phase offset in rad")
-    p_sim.add_argument("--trials", type=float, default=ExperimentPlan.trials,
+    p_sim.add_argument("--trials", type=_parse_scalar, default=ExperimentPlan.trials,
                        help="Monte Carlo trials per point, unused by lock (default %(default)s)")
-    p_sim.add_argument("--seed", type=int, default=ExperimentPlan.master_seed,
+    p_sim.add_argument("--seed", type=_parse_scalar, default=ExperimentPlan.master_seed,
                        help="master seed (default %(default)s)")
     p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k",
                        default=ExperimentPlan.tolerance_k,

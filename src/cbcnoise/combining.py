@@ -95,6 +95,9 @@ class CbcConfig:
             if self.phase_var < 0.0:
                 raise ValueError("phase variance must be nonnegative")
             object.__setattr__(self, "xi", self.phase_var / sql)
+        _finite(self, "phase_var", "xi")  # the derived one may overflow
+        if not math.isfinite(0.5 * self.photons * self.phase_var * self.phase_var):
+            raise ValueError(f"phase_var {self.phase_var!r} puts var_x beyond float range")
         if self.phase_var > SMALL_ANGLE_LIMIT:
             warnings.warn(
                 f"phase_var={self.phase_var:.4g} exceeds the small-angle regime "

@@ -22,6 +22,7 @@ limit asserting itself: no clicks, no information.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ _MIN_CLICKS = 4
 # and sqrt((count - 1) / budget) cancels most of that upward bias.
 _MAGNITUDE_SHRINK = 1.0
 
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's, ~9.2e18
+
 
 def two_beam_click_rate(photons: float, dpsi) -> float:
     """Mean dark-port photon number n * (1 - cos(dpsi)) for two beams."""
@@ -66,6 +69,8 @@ def min_detectable_phase_var(photons: float, symmetrized: bool = False) -> float
 def simulate_two_beam_clicks(photons: float, dpsi: float, trials: int, rng: RngStream):
     """Mean and SE of Poisson click counts at the two-beam rate, one per ``run_chunks`` trial."""
     rate = two_beam_click_rate(photons, dpsi)
+    if rate > _POISSON_MAX:
+        raise ValueError(f"n {photons!r} puts the click rate past numpy's Poisson limit")
     stats = run_chunks(lambda count, gen: gen.poisson(rate, size=count), 1, trials, rng)
     return stats.mean_x, stats.se_mean_x
 
@@ -97,6 +102,17 @@ class FeedbackConfig:
             raise ValueError("controller gain must be in (0, 1]")
         if self.intervals < 1:
             raise ValueError("need at least one interval")
+        if self.photons > 3 / 8 * _POISSON_MAX:  # a port mean is <= 2n/3 * |eps_j|^2 <= 8n/3
+            raise ValueError(f"n {self.photons!r} may put a click mean past numpy's Poisson limit")
+        if not _spread_fits(self, 0.0):
+            raise ValueError(f"drift_var {self.drift_var!r} may overflow Var(psi)/SQL")
+
+
+def _spread_fits(config: FeedbackConfig, start: float) -> bool:
+    """Whether phases within s = start + 64 drift deviations (``cbc_kernel``'s margin) stay finite
+    in (psi - mean)^2 <= 4s^2, its sum over beams <= N s^2 and Var(psi)/SQL <= N n s^2."""
+    bound = math.sqrt(sys.float_info.max / (2 * max(1.0, config.photons)) / config.n_beams)
+    return start + 64.0 * math.sqrt(config.intervals * config.drift_var) < bound
 
 
 @dataclass(frozen=True)
@@ -133,7 +149,6 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     and their sign guess flipped.  History records the unbiased sample
     variance of the phases after each interval.
     """
-    gen = rng.generator()
     n_beams = config.n_beams
     if initial_phases is None:
         phases = np.zeros(n_beams)
@@ -141,8 +156,9 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         phases = np.array(initial_phases, dtype=float)
         if phases.shape != (n_beams,):
             raise ValueError("initial phases must match the beam count")
-        if not np.isfinite(phases).all():
-            raise ValueError("initial phases must be finite")
+        if not _spread_fits(config, float(np.abs(phases).max())):  # False for nan and inf too
+            raise ValueError("initial phases must be finite and keep Var(psi)/SQL in float range")
+    gen = rng.generator()
     signs = np.ones(n_beams)
     n_probe = config.photons * _PROBE_FRACTION
     n_verify = config.photons - n_probe

@@ -290,6 +290,20 @@ def test_plan_without_options_runs_as_the_flags(tmp_path, plan_text, flags):
     assert {k: plan_rec[k] for k in measured} == {k: flag_rec[k] for k in measured}
 
 
+def test_a_whole_float_count_flag_runs_as_the_int(tmp_path):
+    # -N reads as a plan line does: 4.0 is the count 4, printed as spelled
+    records = []
+    for beams in ("4", "4.0"):
+        out = tmp_path / f"N{beams}.json"
+        assert main(["simulate", "cbc", "-N", beams, "-n", "1000", "--trials", "20000",
+                     "--format", "json", "--out", str(out)]) == 0
+        records.append(json.loads(out.read_text())["records"][0])
+    measured = [k for k in records[0] if k.startswith(("measured_", "predicted_", "se_", "z_"))]
+    assert measured and [rec["N"] for rec in records] == [4, 4.0]
+    first, second = ({k: rec[k] for k in measured} for rec in records)
+    assert first == second
+
+
 def test_workers_below_one_exit_two(capsys):
     assert main(["simulate", "cbc", "-N", "2", "-n", "100", "--trials", "1000",
                  "--workers", "0"]) == 2

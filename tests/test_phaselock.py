@@ -14,6 +14,7 @@ from cbcnoise import (
     sql_phase_variance,
     two_beam_click_rate,
 )
+from cbcnoise import phaselock
 from cbcnoise.engine import ExperimentPlan, run_plan
 from cbcnoise.phaselock import LockState
 
@@ -56,6 +57,13 @@ def test_simulated_clicks_deterministic():
 def test_simulated_clicks_need_two_trials():
     with pytest.raises(ValueError, match="at least 2 trials"):
         simulate_two_beam_clicks(20, 0.1, 1, RngStream(3))
+
+
+def test_the_poisson_limit_is_numpys():
+    gen = np.random.default_rng(0)
+    gen.poisson(phaselock._POISSON_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        gen.poisson(np.nextafter(phaselock._POISSON_MAX, np.inf))
 
 
 def test_feedback_config_validation():

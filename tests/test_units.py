@@ -124,6 +124,16 @@ def test_compare_matches_predict_bit_for_bit(tmp_path):
         assert row["cbc_worse"] == (row["cbc_var_p_units"] > row["amp_var_units"])
 
 
+@pytest.mark.parametrize("gain", ["1", "2.5", "64"])
+def test_the_amplifier_figure_is_the_amp_rows_prediction(tmp_path, gain):
+    amp, = json_records(tmp_path, ["predict", "--amp", "-G", gain])
+    row, = json_records(tmp_path, ["simulate", "amp", "-G", gain, "--trials", "1000"])
+    assert amp["var"] == row["predicted_var_x"]
+    if gain == "64":  # compare takes whole beam counts of at least 2
+        point, = json_records(tmp_path, ["compare", "--N-min", gain, "--N-max", gain])
+        assert point["amp_var_units"] == amp["var_units"] == row["predicted_var_x"] / 0.25
+
+
 def test_public_names_are_the_imports():
     names = cbcnoise.__all__
     assert not any(name.startswith("_") for name in names)

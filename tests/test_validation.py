@@ -1,12 +1,13 @@
 """Records, plans and flags reject non-finite, non-numeric, non-whole and repeated values."""
 
+import json
 import math
 
 import pytest
 
 from cbcnoise import AmplifierSpec, CbcConfig, ExperimentPlan, FeedbackConfig, NoiseBudget
 from cbcnoise import RngStream, amplify_classical_input, gamma_sum_statistics, run_feedback
-from cbcnoise import two_beam_click_rate, xi_threshold
+from cbcnoise import predict_output, simulate_two_beam_clicks, two_beam_click_rate, xi_threshold
 from cbcnoise import SmallAngleWarning, combine_port_amplitude, dft, error_photon_number
 from cbcnoise import error_signals, inverse_dft, run_plan, sample_coherent, simulate_amplifier
 from cbcnoise import simulate_cascade, simulate_cbc
@@ -100,6 +101,25 @@ def test_plan_rejects_non_whole_count_keys(tmp_path, capsys, experiment, grid, k
     plan.write_text(f"experiment = {experiment}\ntrials = 1000\n{grid}\ngrid.{key} = {bad}\n")
     assert main(["simulate", "--plan", str(plan)]) == 2
     assert f"{key} must be a whole number, got {float(bad)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, plan", [
+    (["cbc", "-N", "2.5", "-n", "100"], "cbc\ngrid.N = 2.5\ngrid.n = 100"),
+    (["cbc", "-N", "abc", "-n", "100"], "cbc\ngrid.N = abc\ngrid.n = 100"),
+    (["cascade", "-G", "4", "--stages", "2.5"], "cascade\ngrid.G = 4\ngrid.stages = 2.5"),
+    (["lock", "-N", "2", "-n", "100", "--intervals", "2.5"],
+     "lock\ngrid.N = 2\ngrid.n = 100\ngrid.intervals = 2.5"),
+    (["cbc", "-N", "2", "-n", "100", "--seed", "2.5"], "cbc\nseed = 2.5\ngrid.N = 2\ngrid.n = 100"),
+    (["cbc", "-N", "2", "-n", "100", "--trials", "abc"],
+     "cbc\ntrials = abc\ngrid.N = 2\ngrid.n = 100"),
+], ids=["N-fraction", "N-text", "stages", "intervals", "seed", "trials"])
+def test_a_count_flag_reads_as_its_plan_line(tmp_path, capsys, flags, plan):
+    path = tmp_path / "plan.txt"
+    path.write_text(f"experiment = {plan}\n")
+    assert main(["simulate", *flags]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["simulate", "--plan", str(path)]) == 2
+    assert from_flag.startswith("error: ") and capsys.readouterr().err == from_flag
 
 
 @pytest.mark.parametrize("experiment, grid, key", [
@@ -446,9 +466,68 @@ def test_each_library_rejection_names_its_cause(make, error, message):
     (["predict", "--threshold"], "threshold prediction needs -N"),
     (["simulate", "cbc", "--plan", "{plan}"], "give either an experiment name or --plan"),
     (["compare", "--N-min", "5", "--N-max", "3"], "empty N range"),
-], ids=["predict-amp", "predict-threshold", "name-and-plan", "compare"])
+    (["predict", "--amp", "-N", "abc"], "N must be a number, got 'abc'"),
+], ids=["predict-amp", "predict-threshold", "name-and-plan", "compare", "predict-amp-N-text"])
 def test_each_usage_rejection_names_its_cause(tmp_path, capsys, argv, message):
     plan = tmp_path / "plan.txt"
     plan.write_text("experiment = cbc\ntrials = 1000\ngrid.N = 2\ngrid.n = 100\n")
     assert main([arg.format(plan=plan) for arg in argv]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: simulate_two_beam_clicks(1e20, 0.5, 10, RngStream(0)), r"n 1e\+20 "),
+    (lambda: FeedbackConfig(2, 1e20), r"n 1e\+20 "),
+    (lambda: FeedbackConfig(2, 1e19, drift_var=1e-3, intervals=3), r"n 1e\+19 "),
+    (lambda: FeedbackConfig(2, 1000, drift_var=1e306, intervals=3), r"drift_var 1e\+306 "),
+    (lambda: run_feedback(FeedbackConfig(2, 1000, intervals=3), RngStream(0), [1e153, -1e153]),
+     "initial phases must be finite and keep Var"),
+    (lambda: CbcConfig(2, 100, phase_var=1e200), r"phase_var 1e\+200 puts var_x"),
+    (lambda: CbcConfig(2, 1e300, phase_var=1e10), "xi must be finite"),
+    (lambda: CbcConfig(2, 1e-300, xi=1e10), "phase_var must be finite"),
+], ids=["clicks", "lock-n", "lock-n-dim", "drift_var", "initial-phases", "cbc-var_x", "cbc-xi",
+        "cbc-phase_var"])
+def test_a_lock_or_cbc_input_past_its_range_draws_nothing(monkeypatch, make, message):
+    # a Poisson mean past numpy's limit, a Var(psi)/SQL or a prediction past float range
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "lock", "-N", "2", "-n", "1e20", "--init-spread", "1"], "n 1e+20 "),
+    (["simulate", "lock", "-N", "2", "-n", "1e19", "--drift-var", "1e-3"], "n 1e+19 "),
+    (["simulate", "lock", "-N", "2", "-n", "1000", "--init-spread", "1e153"], "initial phases"),
+    (["simulate", "lock", "-N", "2", "-n", "1000", "--drift-var", "1e306"], "drift_var 1e+306 "),
+    (["predict", "--cbc", "-N", "2", "-n", "100", "--phase-var", "1e200"], "phase_var 1e+200 "),
+    (["predict", "--cbc", "-N", "2", "-n", "1e300", "--phase-var", "1e10"], "xi must be finite"),
+    (["compare", "-n", "1e-300", "--xi", "1e10", "--N-max", "3"], "phase_var must be finite"),
+    (["simulate", "cbc", "-N", "2", "-n", "1e200", "--phase-var", "1e70"], "phase_var 1e+70 "),
+], ids=["lock-n", "lock-n-dim", "init-spread", "drift_var", "predict-var_x", "predict-xi",
+        "compare-phase_var", "simulate-var_x"])
+def test_a_lock_or_cbc_input_past_its_range_is_a_usage_error(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
+    assert main(argv + (["--intervals", "3"] if "lock" in argv else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["simulate", "lock", "-N", "2", "-n", "3e18", "--init-spread", "1"], 1),
+    (["simulate", "lock", "-N", "2", "-n", "1000", "--init-spread", "1e152"], 1),
+    (["simulate", "lock", "-N", "2", "-n", "1000", "--drift-var", "1e290"], 0),
+], ids=["n", "init-spread", "drift_var"])
+def test_a_lock_near_its_range_still_runs(tmp_path, argv, status):
+    # the loop runs to the end and reports a finite Var(psi)/SQL, failed or not
+    out = tmp_path / "lock.json"
+    assert main(argv + ["--intervals", "3", "--format", "json", "--out", str(out)]) == status
+    record, = json.loads(out.read_text())["records"]
+    assert math.isfinite(record["measured_steady_ratio"])
+
+
+def test_clicks_and_predictions_near_their_range_still_run():
+    # a click rate of 2n = 9.2e18 sits just inside numpy's Poisson limit
+    assert math.isfinite(simulate_two_beam_clicks(4.6e18, math.pi, 10, RngStream(0))[0])
+    with pytest.warns(SmallAngleWarning):
+        assert math.isfinite(predict_output(CbcConfig(2, 1.0, phase_var=1e78)).var_x)

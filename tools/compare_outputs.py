@@ -3,8 +3,9 @@
     python tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Runs each command with PYTHONPATH=<tree>/src in one temporary directory per tree, writing csv
-and json ``--out`` files, and each demo once.  Exits 1 naming the first output that differs
-(--out file, stdout, stderr with the tree's path masked, exit code), 2 on bad arguments.
+and json ``--out`` files, and each demo once.  Prints one line per run whose outputs differ,
+naming the fields (--out file, stdout, stderr with the tree's path masked, exit code) and the
+command, and exits 1 if any run differs, 2 on bad arguments.
 """
 
 import os
@@ -34,6 +35,10 @@ COMMANDS = [
     "simulate lock -N 4 -n 1000 --drift-var 1e-3 --intervals 40 --seed 3",
     "simulate lock -N 8 -n 100 --gain 1 --intervals 30",
     "compare --N-min 2 --N-max 8 -n 1000 --xi 1,5",
+    "simulate cbc -N 4.0 -n 1000 --trials 20000",
+    "simulate lock -N 2 -n 1e20 --init-spread 1 --intervals 3",
+    "simulate lock -N 2 -n 1000 --init-spread 1e153 --intervals 3",
+    "predict --cbc -N 2 -n 100 --phase-var 1e200",
     *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
 ]
 DEMOS = ("amplifier_noise_penalty", "cbc_vs_amplifier", "combining_noise_scaling",
@@ -65,15 +70,17 @@ def main() -> int:
             for name, grid in PLANS.items():
                 text = f"experiment = {name}\ntrials = 20000\nseed = 5\n{grid}\n"
                 pathlib.Path(workdir, f"plan_{name}.txt").write_text(text)
+        differing = 0
         for argv, out in RUNS:
             results = [run(tree, work, argv, out) for tree, work in zip(trees, (old_dir, new_dir))]
-            for field, old, new in zip(("exit code", "stdout", "stderr", out), *results):
-                if old != new:
-                    print(f"differs: {field} of {' '.join(argv)}", file=sys.stderr)
-                    return 1
-    print(f"{len(RUNS)} runs matched in --out, stdout, stderr and exit code "
-          f"({len(COMMANDS)} commands in csv and json, {len(DEMOS)} demos)")
-    return 0
+            fields = [field for field, old, new in zip(("exit code", "stdout", "stderr", out),
+                                                       *results) if old != new]
+            if fields:
+                differing += 1
+                print(f"differs: {', '.join(fields)} of {' '.join(argv)}")
+    print(f"{len(RUNS) - differing} of {len(RUNS)} runs matched in --out, stdout, stderr and exit "
+          f"code ({len(COMMANDS)} commands in csv and json, {len(DEMOS)} demos)")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
