@@ -23,7 +23,7 @@ import sys
 from .coherent import VAR_COH
 from .combining import CbcConfig, predict_output, xi_threshold
 from .amplifier import KINDS, _gain_spec, predict_chain
-from .engine import EXPERIMENTS, ExperimentPlan, _parse_scalar, load_plan, run_plan
+from .engine import EXPERIMENTS, ExperimentPlan, _number, _parse_scalar, load_plan, run_plan
 
 # Unit of every column the commands write, and of every quantity named
 # after a measured_, predicted_ or se_ prefix; each text is written once.
@@ -114,6 +114,8 @@ def _print_table(records):
 def cmd_predict(args) -> tuple:
     sections = ("cbc", "amp", "threshold")
     chosen = [name for name in sections if getattr(args, name)] or sections
+    if isinstance(args.N, str):  # -N read as text fails alike in every section
+        _number("N", args.N)
     records = []
     if "cbc" in chosen:
         config = EXPERIMENTS["cbc"].config(_record("cbc", args, "prediction"))
@@ -130,8 +132,6 @@ def cmd_predict(args) -> tuple:
         big_g = args.G if args.G is not None else args.N
         if big_g is None:
             raise ValueError("amplifier prediction needs -G (or -N to default to G = N)")
-        if isinstance(big_g, str):  # -N read as text; -G is a float
-            raise ValueError(f"N must be a number, got {big_g!r}")
         var = predict_chain((big_g, [_gain_spec(big_g)]))["var_x"]
         records.append({"kind": "amp", "G": float(big_g), "var": var, "var_units": var / VAR_COH})
     if "threshold" in chosen:

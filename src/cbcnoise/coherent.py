@@ -36,6 +36,7 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
+_BLOCK = 1 << 19  # elements per ``normal_blocks`` block: a chunk N <= 8 wide is one block
 
 
 def _whole(name: str, value, bound=sys.float_info.max) -> int:
@@ -111,6 +112,18 @@ def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None)
     shape = np.shape(mean) if shape is None else shape
     # x is drawn first (left to right); unnamed, each block is freed once added
     return mean + gen.normal(scale=sigma, size=shape) + 1j * gen.normal(scale=sigma, size=shape)
+
+
+def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int):
+    """Yield (row slice, block) pairs, in row order, holding gen.normal(scale=sigma, size=(count,
+    width)) bit for bit: blocks of at most _BLOCK elements (one row at least), all in one reused
+    float64 buffer, so each block is valid until the next one is drawn."""
+    step = max(1, _BLOCK // width)
+    buf = np.empty((min(step, count), width))
+    for start in range(0, count, step):
+        block = gen.standard_normal(out=buf[:count - start])  # the last block may be short
+        block *= sigma
+        yield slice(start, start + len(block)), block
 
 
 def sample_coherent(mean, rng, size=None):

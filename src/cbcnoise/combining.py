@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _fits, _whole,
-                       gaussian_field, run_chunks)
+                       gaussian_field, normal_blocks, run_chunks)
 from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -206,17 +206,21 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     Per trial: Gaussian phase errors psi_k on the N beams, the coherent sum
     sqrt(n/N) * sum_k (cos psi_k + 1j*sin psi_k), and one ``gaussian_field``
     vacuum: the combiner is unitary, so the N input vacua reaching port 0 add
-    up to exactly one coherent-state vacuum.  Draw order: the (count, N)
-    float64 phases, then the (count,) x and p blocks, so a given stream always
-    yields the same ensemble.  cos and sin run in float32, and the deviations
-    cos psi_k - 1 and sin psi_k sum in float64 with N added back, so each
-    sample is within about 1e-7*sqrt(n) of the float64 sum.
+    up to exactly one coherent-state vacuum.  Draw order: the (count, N) float64 phases, in
+    ``normal_blocks`` row blocks of one stream, then the (count,) x and p blocks, so a given
+    stream always yields the same ensemble.  cos and sin run in float32, and the deviations
+    cos psi_k - 1 and sin psi_k sum in float64 with N added back, so each sample is within
+    about 1e-7*sqrt(n) of the float64 sum.
     """
-    psi = gen.normal(scale=math.sqrt(config.phase_var), size=(count, config.n_beams))
-    psi = psi.astype(np.float32)  # the float64 phases are freed here
-    x = (np.cos(psi) - 1).sum(axis=1, dtype=np.float64) + config.n_beams
-    p = np.sin(psi, out=psi).sum(axis=1, dtype=np.float64)
-    del psi
+    x, p, f = np.empty(count), np.empty(count), None
+    for rows, psi in normal_blocks(gen, math.sqrt(config.phase_var), count, config.n_beams):
+        f = np.empty(psi.shape, np.float32) if f is None else f[:len(psi)]
+        f[...] = psi  # the float32 phases; their cosines go in the float64 block's memory
+        c = psi.reshape(-1).view(np.float32)[:psi.size].reshape(psi.shape)
+        np.subtract(np.cos(f, out=c), 1, out=c).sum(axis=1, dtype=np.float64, out=x[rows])
+        np.sin(f, out=f).sum(axis=1, dtype=np.float64, out=p[rows])
+    x += config.n_beams
+    del psi, f, c  # the buffers go before the port's complex arrays come
     return gaussian_field(math.sqrt(config.photons / config.n_beams) * (x + 1j * p), gen)
 
 
@@ -261,8 +265,13 @@ def gamma_sum_kernel(n_terms: int, phase_var: float, trials: int):
     sigma = math.sqrt(phase_var)
 
     def kernel(count, gen):
-        psi = gen.normal(scale=sigma, size=(count, n_terms))
-        return np.einsum("ij,ij->i", psi, psi)
+        out = np.empty(count)
+        for rows, psi in normal_blocks(gen, sigma, count, n_terms):
+            # einsum sums a lone row > 8192 wide unlike a row among rows, so a one-row block
+            # of a longer chunk is summed paired with itself
+            both = np.broadcast_to(psi, (max(len(psi), min(2, count)), n_terms))
+            out[rows] = np.einsum("ij,ij->i", both, both)[:len(psi)]
+        return out
     return kernel, n_terms
 
 

@@ -102,7 +102,7 @@ class FeedbackConfig:
             raise ValueError("controller gain must be in (0, 1]")
         if self.intervals < 1:
             raise ValueError("need at least one interval")
-        if self.photons > 3 / 8 * _POISSON_MAX:  # a port mean is <= 2n/3 * |eps_j|^2 <= 8n/3
+        if self.photons * max(4, self.n_beams) > 1.5 * _POISSON_MAX:  # 8n/3 a port, 2nN/3 in sum
             raise ValueError(f"n {self.photons!r} may put a click mean past numpy's Poisson limit")
         if not _spread_fits(self, 0.0):
             raise ValueError(f"drift_var {self.drift_var!r} may overflow Var(psi)/SQL")
@@ -174,7 +174,7 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         if active.any():
             magnitude = np.sqrt(np.maximum(probe - _MAGNITUDE_SHRINK, 0.0) / n_probe)
             move = np.where(active, signs * config.controller_gain * magnitude, 0.0)
-            trial = phases - (move - move.mean())  # common phase is unobservable: zero-sum
+            trial = phases - (move - move.sum() / n_beams)  # common phase is unobservable: zero-sum
             verify = gen.poisson(_click_means(trial, n_verify))
             clicks_total += int(verify.sum())
             # compare click rates, not raw counts, across the unequal budgets
@@ -182,7 +182,8 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
             if worse.any():
                 move[worse] = 0.0
                 signs[worse] *= -1.0
-                trial = phases - (move - move.mean())
+                trial = phases - (move - move.sum() / n_beams)
             phases = trial
-        history.append((t, float(np.var(phases, ddof=1))))
+        d = phases - phases.sum() / n_beams  # bit for bit np.var(phases, ddof=1), less overhead
+        history.append((t, float((d * d).sum() / (n_beams - 1))))
     return LockState(phases=phases, clicks_total=clicks_total, history=tuple(history))

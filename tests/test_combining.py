@@ -20,8 +20,10 @@ from cbcnoise import (
     sql_phase_variance,
     xi_threshold,
 )
+from cbcnoise import coherent
 from cbcnoise.coherent import gaussian_field
-from cbcnoise.combining import chunk_trials, combine_port_amplitude, sample_cbc_outputs
+from cbcnoise.combining import (chunk_trials, combine_port_amplitude, gamma_sum_kernel,
+                                sample_cbc_outputs)
 
 # Forward transform of [1+2j, -1, 0.5j, 2-1j], computed from the O(N^2)
 # definition sum_j a_j exp(-2 pi i j k / N) / sqrt(N) with plain cmath.
@@ -217,18 +219,60 @@ def test_float32_trig_matches_float64_sum(n_beams, photons):
     np.testing.assert_allclose(samples, gaussian_field(port, gen), rtol=0, atol=FLOAT32_TRIG_ATOL)
 
 
-def test_cbc_chunk_memory_is_bounded():
-    # a full chunk holds 2^21 elements; 16 bytes each leaves room for the
-    # float64 phases and their float32 copy (12), not for complex temporaries (40)
-    cfg = CbcConfig(n_beams=32, photons=1000.0, xi=5.0)
-    gen = RngStream(3).generator()
+def _whole_chunk_cbc(cfg, count, gen):
+    # the sampler with the chunk's phases in one (count, N) draw and one float32 copy
+    psi = gen.normal(scale=math.sqrt(cfg.phase_var), size=(count, cfg.n_beams)).astype(np.float32)
+    x = (np.cos(psi) - 1).sum(axis=1, dtype=np.float64) + cfg.n_beams
+    p = np.sin(psi).sum(axis=1, dtype=np.float64)
+    return gaussian_field(math.sqrt(cfg.photons / cfg.n_beams) * (x + 1j * p), gen)
+
+
+def _whole_chunk_gamma(phase_var, count, n_terms, gen):
+    psi = gen.normal(scale=math.sqrt(phase_var), size=(count, n_terms))
+    return np.einsum("ij,ij->i", psi, psi)
+
+
+@pytest.mark.parametrize("block", [7, coherent._BLOCK])
+@pytest.mark.parametrize("width", [2, 3, 32, 10_000, "above"])  # 10^4 > 8192, numpy's buffer
+def test_blocked_phases_match_one_whole_draw(monkeypatch, block, width):
+    # blocks of one stream, each row reduced alone: same bytes, same next draw
+    monkeypatch.setattr(coherent, "_BLOCK", block)
+    n_beams = block + 1 if width == "above" else width
+    rows = max(1, block // n_beams)
+    cfg = CbcConfig(n_beams=n_beams, photons=100.0, xi=5.0)
+    gamma, _ = gamma_sum_kernel(n_beams, 0.01, 1000)
+    pairs = [(lambda c, g: sample_cbc_outputs(cfg, c, g), lambda c, g: _whole_chunk_cbc(cfg, c, g)),
+             (gamma, lambda c, g: _whole_chunk_gamma(0.01, c, n_beams, g))]
+    for count in sorted({max(1, rows - 1), rows, rows + 1}):
+        for draw, whole in pairs:
+            gen, ref = RngStream(5).generator(), RngStream(5).generator()
+            assert draw(count, gen).tobytes() == whole(count, ref).tobytes()
+            assert np.array_equal(gen.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+
+
+def _traced_peak(draw):
     tracemalloc.start()
     try:
-        sample_cbc_outputs(cfg, chunk_trials(32), gen)
-        peak = tracemalloc.get_traced_memory()[1]
+        draw()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 21
+
+
+def test_cbc_chunk_memory_is_bounded():
+    # a full chunk holds 2^21 elements, its phases come in 2^19-element blocks:
+    # 16 MiB holds one float64 block, its float32 copy and the port's complex
+    # arrays, not the chunk's whole float64 phases and their float32 copy (24 MiB)
+    cfg = CbcConfig(n_beams=32, photons=1000.0, xi=5.0)
+    gen = RngStream(3).generator()
+    assert _traced_peak(lambda: sample_cbc_outputs(cfg, chunk_trials(32), gen)) <= 16 * 2 ** 20
+
+
+def test_gamma_chunk_memory_is_bounded():
+    # 10 MiB holds a 4 MiB block and the sums, not the chunk's whole phases (16 MiB)
+    kernel, width = gamma_sum_kernel(32, 1e-3, chunk_trials(32))
+    gen = RngStream(3).generator()
+    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 10 * 2 ** 20
 
 
 def test_phase_noise_is_asymmetric_between_quadratures():

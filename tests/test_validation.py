@@ -467,7 +467,11 @@ def test_each_library_rejection_names_its_cause(make, error, message):
     (["simulate", "cbc", "--plan", "{plan}"], "give either an experiment name or --plan"),
     (["compare", "--N-min", "5", "--N-max", "3"], "empty N range"),
     (["predict", "--amp", "-N", "abc"], "N must be a number, got 'abc'"),
-], ids=["predict-amp", "predict-threshold", "name-and-plan", "compare", "predict-amp-N-text"])
+    (["predict", "--cbc", "-N", "abc", "-n", "10"], "N must be a number, got 'abc'"),
+    (["predict", "--threshold", "-N", "abc"], "N must be a number, got 'abc'"),
+    (["simulate", "cbc", "-N", "abc", "-n", "10"], "N must be a number, got 'abc'"),
+], ids=["predict-amp", "predict-threshold", "name-and-plan", "compare", "predict-amp-N-text",
+        "predict-cbc-N-text", "predict-threshold-N-text", "simulate-cbc-N-text"])
 def test_each_usage_rejection_names_its_cause(tmp_path, capsys, argv, message):
     plan = tmp_path / "plan.txt"
     plan.write_text("experiment = cbc\ntrials = 1000\ngrid.N = 2\ngrid.n = 100\n")
@@ -479,14 +483,15 @@ def test_each_usage_rejection_names_its_cause(tmp_path, capsys, argv, message):
     (lambda: simulate_two_beam_clicks(1e20, 0.5, 10, RngStream(0)), r"n 1e\+20 "),
     (lambda: FeedbackConfig(2, 1e20), r"n 1e\+20 "),
     (lambda: FeedbackConfig(2, 1e19, drift_var=1e-3, intervals=3), r"n 1e\+19 "),
+    (lambda: FeedbackConfig(16, 3e18), r"n 3e\+18 "),
     (lambda: FeedbackConfig(2, 1000, drift_var=1e306, intervals=3), r"drift_var 1e\+306 "),
     (lambda: run_feedback(FeedbackConfig(2, 1000, intervals=3), RngStream(0), [1e153, -1e153]),
      "initial phases must be finite and keep Var"),
     (lambda: CbcConfig(2, 100, phase_var=1e200), r"phase_var 1e\+200 puts var_x"),
     (lambda: CbcConfig(2, 1e300, phase_var=1e10), "xi must be finite"),
     (lambda: CbcConfig(2, 1e-300, xi=1e10), "phase_var must be finite"),
-], ids=["clicks", "lock-n", "lock-n-dim", "drift_var", "initial-phases", "cbc-var_x", "cbc-xi",
-        "cbc-phase_var"])
+], ids=["clicks", "lock-n", "lock-n-dim", "lock-n-sum", "drift_var", "initial-phases",
+        "cbc-var_x", "cbc-xi", "cbc-phase_var"])
 def test_a_lock_or_cbc_input_past_its_range_draws_nothing(monkeypatch, make, message):
     # a Poisson mean past numpy's limit, a Var(psi)/SQL or a prediction past float range
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
@@ -497,14 +502,16 @@ def test_a_lock_or_cbc_input_past_its_range_draws_nothing(monkeypatch, make, mes
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "lock", "-N", "2", "-n", "1e20", "--init-spread", "1"], "n 1e+20 "),
     (["simulate", "lock", "-N", "2", "-n", "1e19", "--drift-var", "1e-3"], "n 1e+19 "),
+    # each port's mean fits numpy's Poisson limit, but their int64 sum over 16 ports would wrap
+    (["simulate", "lock", "-N", "16", "-n", "3e18", "--init-spread", "1.5707963"], "n 3e+18 "),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--init-spread", "1e153"], "initial phases"),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--drift-var", "1e306"], "drift_var 1e+306 "),
     (["predict", "--cbc", "-N", "2", "-n", "100", "--phase-var", "1e200"], "phase_var 1e+200 "),
     (["predict", "--cbc", "-N", "2", "-n", "1e300", "--phase-var", "1e10"], "xi must be finite"),
     (["compare", "-n", "1e-300", "--xi", "1e10", "--N-max", "3"], "phase_var must be finite"),
     (["simulate", "cbc", "-N", "2", "-n", "1e200", "--phase-var", "1e70"], "phase_var 1e+70 "),
-], ids=["lock-n", "lock-n-dim", "init-spread", "drift_var", "predict-var_x", "predict-xi",
-        "compare-phase_var", "simulate-var_x"])
+], ids=["lock-n", "lock-n-dim", "lock-n-sum", "init-spread", "drift_var", "predict-var_x",
+        "predict-xi", "compare-phase_var", "simulate-var_x"])
 def test_a_lock_or_cbc_input_past_its_range_is_a_usage_error(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
     assert main(argv + (["--intervals", "3"] if "lock" in argv else [])) == 2
