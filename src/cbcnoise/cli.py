@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coherent import VAR_COH
@@ -114,7 +115,7 @@ def _print_table(records):
 def cmd_predict(args) -> tuple:
     sections = ("cbc", "amp", "threshold")
     chosen = [name for name in sections if getattr(args, name)] or sections
-    if isinstance(args.N, str):  # -N read as text fails alike in every section
+    if args.N is not None:  # a -N that is text or beyond float range fails alike in every section
         _number("N", args.N)
     records = []
     if "cbc" in chosen:
@@ -286,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k",
                        default=ExperimentPlan.tolerance_k,
                        help="acceptance band half-width in standard errors (default %(default)s)")
-    p_sim.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p_sim.add_argument("--workers", type=int, default=cpus,
+                       help="worker threads; outputs are the same for any count "
+                            "(default: the usable CPUs, %(default)s here)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -36,7 +36,7 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
-_BLOCK = 1 << 19  # elements per ``normal_blocks`` block: a chunk N <= 8 wide is one block
+_BLOCK = 1 << 16  # elements per ``normal_blocks`` block (512 KiB of float64)
 
 
 def _whole(name: str, value, bound=sys.float_info.max) -> int:
@@ -110,8 +110,12 @@ def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None)
     (default: the shape of ``mean``), so a stream always yields the same samples.
     """
     shape = np.shape(mean) if shape is None else shape
-    # x is drawn first (left to right); unnamed, each block is freed once added
-    return mean + gen.normal(scale=sigma, size=shape) + 1j * gen.normal(scale=sigma, size=shape)
+    field = np.empty(np.broadcast_shapes(np.shape(mean), shape), complex)
+    field[...] = mean  # copied once; the x block, then the p block, are added in place
+    noise = np.empty(shape)
+    for part in (field.real, field.imag):
+        part += np.multiply(gen.standard_normal(out=noise), sigma, out=noise)
+    return field
 
 
 def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int):
@@ -173,15 +177,14 @@ def estimate_stats(samples) -> QuadratureStats:
     n = a.size
     if n < 2:
         raise ValueError("insufficient data: need at least 2 samples")
-    x = a.real
-    p = a.imag
-    return QuadratureStats(
-        mean_x=float(np.mean(x)),
-        mean_p=float(np.mean(p)),
-        var_x=float(np.var(x, ddof=1)),
-        var_p=float(np.var(p, ddof=1)),
-        trials=n,
-    )
+    buf = np.empty(n)
+    moments = []
+    for col in (a.real, a.imag):  # np.mean and np.var(ddof=1), bit for bit, in one buffer
+        mean = col.sum() / n
+        np.square(np.subtract(col, mean, out=buf), out=buf)
+        moments += [float(mean), float(buf.sum() / (n - 1))]
+    mean_x, var_x, mean_p, var_p = moments
+    return QuadratureStats(mean_x, mean_p, var_x, var_p, n)
 
 
 def merge_stats(a: QuadratureStats, b: QuadratureStats) -> QuadratureStats:

@@ -220,8 +220,13 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
         np.subtract(np.cos(f, out=c), 1, out=c).sum(axis=1, dtype=np.float64, out=x[rows])
         np.sin(f, out=f).sum(axis=1, dtype=np.float64, out=p[rows])
     x += config.n_beams
-    del psi, f, c  # the buffers go before the port's complex arrays come
-    return gaussian_field(math.sqrt(config.photons / config.n_beams) * (x + 1j * p), gen)
+    del psi, f, c  # the buffers go before the port's complex array comes
+    # the vacuum first, then the port's mean added in place: addition commutes, bit for bit
+    port = gaussian_field(0.0, gen, shape=count)
+    s = math.sqrt(config.photons / config.n_beams)
+    port.real += np.multiply(x, s, out=x)
+    port.imag += np.multiply(p, s, out=p)
+    return port
 
 
 def cbc_kernel(config: CbcConfig, trials: int):

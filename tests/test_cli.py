@@ -2,11 +2,12 @@
 
 import csv
 import json
+import os
 
 import pytest
 
 from cbcnoise import CbcConfig, ExperimentPlan, RngStream, run_plan, simulate_cbc
-from cbcnoise.cli import main
+from cbcnoise.cli import build_parser, main
 
 
 def read_csv(path):
@@ -302,6 +303,25 @@ def test_a_whole_float_count_flag_runs_as_the_int(tmp_path):
     assert measured and [rec["N"] for rec in records] == [4, 4.0]
     first, second = ({k: rec[k] for k in measured} for rec in records)
     assert first == second
+
+
+def test_workers_default_to_the_usable_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert build_parser().parse_args(["simulate", "cbc"]).workers == cpus
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", [
+    ["cbc", "-N", "4", "-n", "1000", "--xi", "1", "--trials", "200000", "--seed", "7"],
+    ["amp", "-G", "4", "--kind", "measure_prepare", "--trials", "200000"],
+    ["gamma", "-N", "8", "--phase-var", "0.01", "--trials", "200000", "--seed", "3"],
+], ids=["cbc", "amp", "gamma"])
+def test_the_default_workers_write_the_bytes_of_one_worker(tmp_path, capsys, flags, fmt):
+    # a 200000-trial point is several chunks, so the default pool splits it
+    paths = [tmp_path / f"{name}.{fmt}" for name in ("default", "one")]
+    for path, workers in zip(paths, ([], ["--workers", "1"])):
+        assert main(["simulate", *flags, *workers, "--format", fmt, "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_workers_below_one_exit_two(capsys):

@@ -148,6 +148,17 @@ def test_estimate_stats_against_numpy():
     assert stats.se_mean_x == pytest.approx(math.sqrt(stats.var_x / 1000), rel=1e-12)
 
 
+@pytest.mark.parametrize("size", [2, 3, 8191, 8192, 65536])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_estimate_stats_is_numpy_mean_and_var_bit_for_bit(kind, size):
+    gen = np.random.default_rng(size)
+    z = gen.normal(3.0, 2.0, size) + (1j * gen.normal(-1.0, 0.5, size) if kind == "complex" else 0)
+    stats = estimate_stats(z)
+    a = np.asarray(z, dtype=complex)
+    assert (stats.mean_x, stats.mean_p) == (np.mean(a.real), np.mean(a.imag))
+    assert (stats.var_x, stats.var_p) == (np.var(a.real, ddof=1), np.var(a.imag, ddof=1))
+
+
 def test_standard_errors_are_derived_not_stored():
     from dataclasses import fields
 

@@ -21,6 +21,7 @@ from cbcnoise import (
     xi_threshold,
 )
 from cbcnoise import coherent
+from cbcnoise.amplifier import AmplifierSpec, chain_kernel
 from cbcnoise.coherent import gaussian_field
 from cbcnoise.combining import (chunk_trials, combine_port_amplitude, gamma_sum_kernel,
                                 sample_cbc_outputs)
@@ -232,7 +233,7 @@ def _whole_chunk_gamma(phase_var, count, n_terms, gen):
     return np.einsum("ij,ij->i", psi, psi)
 
 
-@pytest.mark.parametrize("block", [7, coherent._BLOCK])
+@pytest.mark.parametrize("block", [7, coherent._BLOCK, 1 << 19])  # any block size, the same bits
 @pytest.mark.parametrize("width", [2, 3, 32, 10_000, "above"])  # 10^4 > 8192, numpy's buffer
 def test_blocked_phases_match_one_whole_draw(monkeypatch, block, width):
     # blocks of one stream, each row reduced alone: same bytes, same next draw
@@ -260,19 +261,30 @@ def _traced_peak(draw):
 
 
 def test_cbc_chunk_memory_is_bounded():
-    # a full chunk holds 2^21 elements, its phases come in 2^19-element blocks:
-    # 16 MiB holds one float64 block, its float32 copy and the port's complex
-    # arrays, not the chunk's whole float64 phases and their float32 copy (24 MiB)
-    cfg = CbcConfig(n_beams=32, photons=1000.0, xi=5.0)
-    gen = RngStream(3).generator()
-    assert _traced_peak(lambda: sample_cbc_outputs(cfg, chunk_trials(32), gen)) <= 16 * 2 ** 20
+    # a full chunk holds 65536 trials; 3 MiB holds the row sums x and p, the port
+    # and gaussian_field's noise buffer (2.5 MiB), not a 2^19-element phase block
+    # with its float32 copy beside them (4.6 MiB at N = 2, 7.1 at N = 32)
+    for n_beams in (2, 32):
+        cfg = CbcConfig(n_beams=n_beams, photons=1000.0, xi=5.0)
+        gen = RngStream(3).generator()
+        count = chunk_trials(n_beams)
+        assert _traced_peak(lambda: sample_cbc_outputs(cfg, count, gen)) <= 3 * 2 ** 20, n_beams
 
 
 def test_gamma_chunk_memory_is_bounded():
-    # 10 MiB holds a 4 MiB block and the sums, not the chunk's whole phases (16 MiB)
+    # 2 MiB holds a 2^16-element block and the sums (1.0 MiB), not a 2^19-element
+    # block (4.6 MiB) or the chunk's whole phases (16 MiB)
     kernel, width = gamma_sum_kernel(32, 1e-3, chunk_trials(32))
     gen = RngStream(3).generator()
-    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 10 * 2 ** 20
+    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 2 * 2 ** 20
+
+
+def test_amp_chunk_memory_is_bounded():
+    # measure_prepare nests two gaussian_field draws about a scaled field; each copies
+    # its mean once and adds the noise in place (3.5 MiB), no sum temporaries (4.6 MiB)
+    kernel, width = chain_kernel((4.0, [AmplifierSpec(2.0, kind="measure_prepare")]), 10 ** 6)
+    gen = RngStream(3).generator()
+    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 4 * 2 ** 20
 
 
 def test_phase_noise_is_asymmetric_between_quadratures():
