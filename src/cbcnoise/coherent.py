@@ -36,7 +36,8 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
-_BLOCK = 1 << 16  # elements per ``normal_blocks`` block (512 KiB of float64)
+_BLOCK = 1 << 16  # elements per ``normal_blocks`` or ``_box_muller_blocks`` block
+_HIGH = int(sys.byteorder == "little")  # where a raw word's high half sits in its uint32 view
 
 
 def _whole(name: str, value, bound=sys.float_info.max) -> int:
@@ -128,6 +129,28 @@ def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int
         block = gen.standard_normal(out=buf[:count - start])  # the last block may be short
         block *= sigma
         yield slice(start, start + len(block)), block
+
+
+def _box_muller_blocks(gen: np.random.Generator, sigma: float, beams: int, count: int):
+    """Yield (beams, count) float32 blocks of N(0, sigma^2) normals: whole beams in order, at most
+    _BLOCK elements (one beam at least), in one reused buffer valid until the next block.  Beam k
+    takes its own h = ceil(count/2) raw Philox words; word j gives u1 = (high 32 bits + 1)*2^-32,
+    u2 = (low 32 bits)*2^-32 and r = sqrt(-2 ln u1), and normals j and j + h are sigma*r*cos(2 pi
+    u2) and sigma*r*sin(2 pi u2).  u1 >= 2^-32, so |normal| <= sqrt(64 ln 2)*sigma ~ 6.66 sigma."""
+    half, step = (count + 1) // 2, max(1, _BLOCK // count)
+    r, buf = (np.empty((min(step, beams), size), np.float32) for size in (half, count))
+    for start in range(0, beams, step):
+        block, rb = buf[:beams - start], r[:beams - start]  # the last block may be short
+        words = gen.bit_generator.random_raw(rb.shape).view(np.uint32)
+        np.multiply(words[:, _HIGH::2], 2.0 ** -32, out=rb, dtype=np.float32)
+        rb += 2.0 ** -32  # u1, in (0, 1]
+        np.sqrt(np.multiply(np.log(rb, out=rb), -2, out=rb), out=rb)
+        rb *= sigma  # after the root, so no float32 ever holds sigma^2
+        cos, sin = block[:, :half], block[:, half:]
+        np.multiply(words[:, 1 - _HIGH::2], 2 * math.pi * 2.0 ** -32, out=cos, dtype=np.float32)
+        np.multiply(np.sin(cos[:, :count - half], out=sin), rb[:, :count - half], out=sin)
+        np.multiply(np.cos(cos, out=cos), rb, out=cos)
+        yield block
 
 
 def sample_coherent(mean, rng, size=None):

@@ -13,7 +13,8 @@ amplitude shrinks by (1 - phase_var/2), the phase quadrature picks up excess
 noise n*phase_var, and the amplitude quadrature picks up (n/2)*phase_var^2.
 These forms are second order in the phase spread; the Monte Carlo here sums
 the full cos and sin of each phase, so at large phase_var the simulation is
-the more accurate of the two.
+the more accurate of the two.  It draws float32 Box-Muller phases, two per
+Philox word.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (VAR_COH, QuadratureStats, RngStream, _finite, _fits, _whole,
-                       gaussian_field, normal_blocks, run_chunks)
-from .coherent import chunk_trials as chunk_trials  # canonical home, re-exported here
+from .coherent import (VAR_COH, QuadratureStats, RngStream, _box_muller_blocks, _finite, _fits,
+                       _whole, gaussian_field, normal_blocks, run_chunks)
+from .coherent import chunk_trials as chunk_trials  # perfbench/tracing.py calls it from here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
 SMALL_ANGLE_LIMIT = 0.05
@@ -206,21 +207,20 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     Per trial: Gaussian phase errors psi_k on the N beams, the coherent sum
     sqrt(n/N) * sum_k (cos psi_k + 1j*sin psi_k), and one ``gaussian_field``
     vacuum: the combiner is unitary, so the N input vacua reaching port 0 add
-    up to exactly one coherent-state vacuum.  Draw order: the (count, N) float64 phases, in
-    ``normal_blocks`` row blocks of one stream, then the (count,) x and p blocks, so a given
-    stream always yields the same ensemble.  cos and sin run in float32, and the deviations
-    cos psi_k - 1 and sin psi_k sum in float64 with N added back, so each sample is within
-    about 1e-7*sqrt(n) of the float64 sum.
+    up to exactly one coherent-state vacuum.  Draw order: ``_box_muller_blocks`` float32 phases,
+    ceil(count/2) Philox words per beam, then the (count,) x and p blocks, so a given stream
+    always yields the same ensemble.  cos psi_k - 1 and sin psi_k, in float32, are added to N
+    and 0 in float64 beam by beam: a sample is within ~1e-7*sqrt(n) of float64 trig's sum.
     """
-    x, p, f = np.empty(count), np.empty(count), None
-    for rows, psi in normal_blocks(gen, math.sqrt(config.phase_var), count, config.n_beams):
-        f = np.empty(psi.shape, np.float32) if f is None else f[:len(psi)]
-        f[...] = psi  # the float32 phases; their cosines go in the float64 block's memory
-        c = psi.reshape(-1).view(np.float32)[:psi.size].reshape(psi.shape)
-        np.subtract(np.cos(f, out=c), 1, out=c).sum(axis=1, dtype=np.float64, out=x[rows])
-        np.sin(f, out=f).sum(axis=1, dtype=np.float64, out=p[rows])
-    x += config.n_beams
-    del psi, f, c  # the buffers go before the port's complex array comes
+    x, p, c = np.full(count, float(config.n_beams)), np.zeros(count), None
+    for psi in _box_muller_blocks(gen, math.sqrt(config.phase_var), config.n_beams, count):
+        c = np.empty_like(psi) if c is None else c[:len(psi)]
+        np.subtract(np.cos(psi, out=c), 1, out=c)
+        np.sin(psi, out=psi)
+        for k in range(len(psi)):  # one beam at a time, so any block size adds alike
+            x += c[k]
+            p += psi[k]
+    del psi, c  # the buffers go before the port's complex array comes
     # the vacuum first, then the port's mean added in place: addition commutes, bit for bit
     port = gaussian_field(0.0, gen, shape=count)
     s = math.sqrt(config.photons / config.n_beams)
@@ -232,9 +232,10 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
 def cbc_kernel(config: CbcConfig, trials: int):
     """(kernel, width) for ``run_chunks``: combined-port samples of ``config``, N wide.
 
-    The sampler's float32 phases must hold 64 standard deviations (phase_var below ~2.8e73),
-    and the exact Gaussian-phase variances 1/4 + n*(1-e^-v)^2/2 and 1/4 + n*(1-e^-2v)/2, not
-    the unbounded quadratic ones, must fit floats at ``trials``, blaming n, before any draw.
+    The sampler's float32 phases end at sqrt(64 ln 2), about 6.66 standard deviations; 64 of
+    them must fit float32 (phase_var below ~2.8e73), and the exact Gaussian-phase variances
+    1/4 + n*(1-e^-v)^2/2 and 1/4 + n*(1-e^-2v)/2, not the unbounded quadratic ones, must fit
+    floats at ``trials``, blaming n, before any draw.
     """
     v, n = config.phase_var, config.photons
     if not 64.0 * math.sqrt(v) < float(np.finfo(np.float32).max):

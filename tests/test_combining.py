@@ -200,6 +200,40 @@ def test_simulate_cbc_deterministic():
     assert a == b
 
 
+def _box_muller_by_hand(gen, sigma, beams, count):
+    # row k holds words [k*h, (k+1)*h); word j gives phases j (cos) and j + h (sin) of beam k
+    h = (count + 1) // 2
+    words, ulp = gen.bit_generator.random_raw(beams * h).reshape(beams, h), np.float32(2.0 ** -32)
+    u1 = (words >> np.uint64(32)).astype(np.float32) * ulp + ulp
+    angle = (words & np.uint64(2 ** 32 - 1)).astype(np.float32) * np.float32(2 * math.pi) * ulp
+    r = np.sqrt(np.float32(-2) * np.log(u1)) * np.float32(sigma)
+    return np.concatenate([r * np.cos(angle), (r * np.sin(angle))[:, :count - h]], axis=1)
+
+
+@pytest.mark.parametrize("beams, count", [(4, 7), (3, 8)])  # odd count: the last sin is unused
+def test_box_muller_block_by_hand(beams, count):
+    gen, ref = RngStream(8).generator(), RngStream(8).generator()
+    block = next(coherent._box_muller_blocks(gen, 0.3, beams, count))
+    assert block.dtype == np.float32 and block.shape == (beams, count)
+    assert block.tobytes() == _box_muller_by_hand(ref, 0.3, beams, count).tobytes()
+    assert np.array_equal(gen.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+
+
+def test_box_muller_phases_are_normal():
+    # 2^21 phases; the SEs of the sample mean, mean square and mean fourth power come from
+    # N(0, 1)'s own moments: Var(z) = 1, Var(z^2) = 2, Var(z^4) = 105 - 9 = 96
+    sigma, beams, count = 0.3, 32, 1 << 16
+    gen = RngStream(41).generator()
+    z = np.concatenate([b.astype(np.float64) for b in
+                        coherent._box_muller_blocks(gen, sigma, beams, count)]) / sigma
+    n = z.size
+    assert n == 1 << 21
+    assert abs(z.mean()) < 5 * math.sqrt(1 / n)
+    assert abs(np.mean(z ** 2) - 1) < 5 * math.sqrt(2 / n)
+    assert abs(np.mean(z ** 4) - 3) < 5 * math.sqrt(96 / n)
+    assert np.abs(z).max() <= 6.66  # the tail ends at sqrt(64 ln 2) = 6.6604
+
+
 # Fixed before the first run: float32 cos and sin err by ~3e-8 per beam, and
 # the float64 sums keep that from growing with N, so a sample with n <= 1000
 # is within a few 1e-6 of float64 trig; 1e-5 is far below one SE of any gated
@@ -213,18 +247,18 @@ def test_float32_trig_matches_float64_sum(n_beams, photons):
     cfg = CbcConfig(n_beams=n_beams, photons=photons, xi=5.0)
     count = chunk_trials(32)
     samples = sample_cbc_outputs(cfg, count, RngStream(31).generator())
-    # the float64 path from the same draws: N phases per trial, then the port vacuum
+    # the float64 path from the same float32 phases, then the port vacuum
     gen = RngStream(31).generator()
-    psi = gen.normal(scale=math.sqrt(cfg.phase_var), size=(count, n_beams))
-    port = math.sqrt(photons / n_beams) * np.exp(1j * psi).sum(axis=1)
+    psi = _box_muller_by_hand(gen, math.sqrt(cfg.phase_var), n_beams, count).astype(np.float64)
+    port = math.sqrt(photons / n_beams) * np.exp(1j * psi).sum(axis=0)
     np.testing.assert_allclose(samples, gaussian_field(port, gen), rtol=0, atol=FLOAT32_TRIG_ATOL)
 
 
 def _whole_chunk_cbc(cfg, count, gen):
-    # the sampler with the chunk's phases in one (count, N) draw and one float32 copy
-    psi = gen.normal(scale=math.sqrt(cfg.phase_var), size=(count, cfg.n_beams)).astype(np.float32)
-    x = (np.cos(psi) - 1).sum(axis=1, dtype=np.float64) + cfg.n_beams
-    p = np.sin(psi).sum(axis=1, dtype=np.float64)
+    # the sampler with the chunk's phases in one (N, count) draw, summed over the beams in order
+    psi = _box_muller_by_hand(gen, math.sqrt(cfg.phase_var), cfg.n_beams, count)
+    x = np.sum(np.cos(psi) - 1, axis=0, dtype=np.float64, initial=cfg.n_beams)
+    p = np.sum(np.sin(psi), axis=0, dtype=np.float64, initial=0.0)
     return gaussian_field(math.sqrt(cfg.photons / cfg.n_beams) * (x + 1j * p), gen)
 
 
@@ -261,9 +295,9 @@ def _traced_peak(draw):
 
 
 def test_cbc_chunk_memory_is_bounded():
-    # a full chunk holds 65536 trials; 3 MiB holds the row sums x and p, the port
-    # and gaussian_field's noise buffer (2.5 MiB), not a 2^19-element phase block
-    # with its float32 copy beside them (4.6 MiB at N = 2, 7.1 at N = 32)
+    # a full chunk holds 65536 trials; 3 MiB holds the sums x and p, the port and
+    # gaussian_field's noise buffer (2.5 MiB), not those with the float32 phase
+    # block and its cosines kept beside them (3.0 MiB at N = 2 and 32)
     for n_beams in (2, 32):
         cfg = CbcConfig(n_beams=n_beams, photons=1000.0, xi=5.0)
         gen = RngStream(3).generator()

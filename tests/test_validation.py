@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -348,6 +349,17 @@ def test_a_cbc_variance_out_of_float_range_is_a_named_usage_error(capsys):
 
 def test_a_cbc_ensemble_near_the_float_range_still_runs():
     stats = simulate_cbc(CbcConfig(2, 1e300, phase_var=0.01), 100000, RngStream(0))
+    assert all(map(math.isfinite, (stats.mean_x, stats.var_x, stats.var_p)))
+
+
+def test_a_cbc_phase_spread_near_the_float32_range_still_runs():
+    # phase_var 1e72 is inside cbc_kernel's float32 rule (below ~2.8e73); its -2*sigma^2,
+    # 2e72, is not a float32, so the sampler may scale its phases by sigma only
+    with pytest.warns(SmallAngleWarning):
+        config = CbcConfig(2, 1.0, phase_var=1e72)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stats = simulate_cbc(config, 1000, RngStream(3))
     assert all(map(math.isfinite, (stats.mean_x, stats.var_x, stats.var_p)))
 
 
