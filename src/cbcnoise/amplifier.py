@@ -102,8 +102,9 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     measure_prepare: simultaneous two-quadrature measurement (one extra
     vacuum unit), classical gain g on the record, re-preparation (one more
     unit).  phase_sensitive: x scaled by g, p by 1/g.  Every kind adds its n_cl excess.
-    Vacuum and excess terms are ``gaussian_field`` draws in a fixed order,
-    even at zero weight, so the stream position does not depend on the gain.
+    Vacuum and excess terms are ``gaussian_field`` draws in a fixed order, one Philox
+    word per sample each, even at zero weight, so the stream position does not depend
+    on the gain.
     """
     gen = as_generator(rng)
     a = np.asarray(field, dtype=complex)

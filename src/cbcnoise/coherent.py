@@ -9,6 +9,8 @@ vacuum included, saturates the Heisenberg bound sqrt(var_x * var_p) = 1/4.
 Random numbers come from counter-based Philox streams addressed by a master
 seed plus an index tuple, so any (seed, index) pair reproduces the identical
 sequence regardless of how work is scheduled across threads or processes.
+Field noise and cbc phases are float32 Box-Muller pairs of raw Philox words:
+one word per complex field sample, two phases per word.
 
 Every Monte Carlo ensemble in the package runs through ``run_chunks``:
 fixed-size chunks, one substream per chunk, statistics merged in chunk
@@ -37,6 +39,7 @@ _SIGMA_COH = 0.5
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
 _BLOCK = 1 << 16  # elements per ``normal_blocks`` or ``_box_muller_blocks`` block
+_SEGMENT = 1 << 14  # samples per ``gaussian_field`` segment
 _HIGH = int(sys.byteorder == "little")  # where a raw word's high half sits in its uint32 view
 
 
@@ -104,21 +107,6 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None):
-    """``mean`` plus complex Gaussian noise of per-quadrature deviation ``sigma``.
-
-    The package's one field draw: an x block, then a p block, each of ``shape``
-    (default: the shape of ``mean``), so a stream always yields the same samples.
-    """
-    shape = np.shape(mean) if shape is None else shape
-    field = np.empty(np.broadcast_shapes(np.shape(mean), shape), complex)
-    field[...] = mean  # copied once; the x block, then the p block, are added in place
-    noise = np.empty(shape)
-    for part in (field.real, field.imag):
-        part += np.multiply(gen.standard_normal(out=noise), sigma, out=noise)
-    return field
-
-
 def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int):
     """Yield (row slice, block) pairs, in row order, holding gen.normal(scale=sigma, size=(count,
     width)) bit for bit: blocks of at most _BLOCK elements (one row at least), all in one reused
@@ -131,26 +119,57 @@ def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int
         yield slice(start, start + len(block)), block
 
 
+def _radius_angle(words, r, angle):
+    """Box-Muller's float32 r = sqrt(-2 ln u1) and angle 2 pi u2 from raw Philox ``words`` (their
+    uint32 view) into ``r`` and ``angle``: word j gives u1 = (high 32 bits + 1)*2^-32, in (0, 1],
+    and u2 = (low 32 bits)*2^-32.  u1 >= 2^-32, so r <= sqrt(64 ln 2) ~ 6.66."""
+    np.multiply(words[..., _HIGH::2], 2.0 ** -32, out=r, dtype=np.float32)
+    r += 2.0 ** -32  # u1
+    np.sqrt(np.multiply(np.log(r, out=r), -2, out=r), out=r)
+    np.multiply(words[..., 1 - _HIGH::2], 2 * math.pi * 2.0 ** -32, out=angle, dtype=np.float32)
+
+
 def _box_muller_blocks(gen: np.random.Generator, sigma: float, beams: int, count: int):
     """Yield (beams, count) float32 blocks of N(0, sigma^2) normals: whole beams in order, at most
     _BLOCK elements (one beam at least), in one reused buffer valid until the next block.  Beam k
-    takes its own h = ceil(count/2) raw Philox words; word j gives u1 = (high 32 bits + 1)*2^-32,
-    u2 = (low 32 bits)*2^-32 and r = sqrt(-2 ln u1), and normals j and j + h are sigma*r*cos(2 pi
-    u2) and sigma*r*sin(2 pi u2).  u1 >= 2^-32, so |normal| <= sqrt(64 ln 2)*sigma ~ 6.66 sigma."""
+    takes its own h = ceil(count/2) raw Philox words; word j's ``_radius_angle`` r and angle give
+    normals j and j + h, (sigma*r)*cos(angle) and (sigma*r)*sin(angle), all in float32, so
+    |normal| <= sqrt(64 ln 2)*sigma ~ 6.66 sigma."""
     half, step = (count + 1) // 2, max(1, _BLOCK // count)
     r, buf = (np.empty((min(step, beams), size), np.float32) for size in (half, count))
     for start in range(0, beams, step):
         block, rb = buf[:beams - start], r[:beams - start]  # the last block may be short
-        words = gen.bit_generator.random_raw(rb.shape).view(np.uint32)
-        np.multiply(words[:, _HIGH::2], 2.0 ** -32, out=rb, dtype=np.float32)
-        rb += 2.0 ** -32  # u1, in (0, 1]
-        np.sqrt(np.multiply(np.log(rb, out=rb), -2, out=rb), out=rb)
-        rb *= sigma  # after the root, so no float32 ever holds sigma^2
         cos, sin = block[:, :half], block[:, half:]
-        np.multiply(words[:, 1 - _HIGH::2], 2 * math.pi * 2.0 ** -32, out=cos, dtype=np.float32)
+        _radius_angle(gen.bit_generator.random_raw(rb.shape).view(np.uint32), rb, cos)
+        rb *= sigma  # after the root, so no float32 ever holds sigma^2
         np.multiply(np.sin(cos[:, :count - half], out=sin), rb[:, :count - half], out=sin)
         np.multiply(np.cos(cos, out=cos), rb, out=cos)
         yield block
+
+
+def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None):
+    """``mean`` plus complex Gaussian noise of per-quadrature deviation ``sigma``.
+
+    The package's one field draw, of ``mean``'s shape broadcast with ``shape`` (default: the
+    mean's own).  Sample j of the flattened field reads raw Philox word j: its x and p gain sigma
+    times the float32 r*cos(angle) and r*sin(angle) of the word's ``_radius_angle``, in float64,
+    so any finite sigma stays in range.  Segments of _SEGMENT samples reuse one set of buffers.
+    """
+    shape = np.shape(mean) if shape is None else shape
+    field = np.empty(np.broadcast_shapes(np.shape(mean), shape), complex)
+    field[...] = mean  # copied once; each segment's x and p are added in place
+    flat = field.reshape(-1)
+    r, cos, sin = (np.empty(min(flat.size, _SEGMENT), np.float32) for _ in range(3))
+    noise = np.empty(len(r))
+    for start in range(0, flat.size, _SEGMENT):
+        n = min(_SEGMENT, flat.size - start)  # the last segment may be short
+        rn, cn, sn = r[:n], cos[:n], sin[:n]
+        _radius_angle(gen.bit_generator.random_raw(n).view(np.uint32), rn, sn)
+        np.multiply(np.cos(sn, out=cn), rn, out=cn)
+        np.multiply(np.sin(sn, out=sn), rn, out=sn)
+        for part, unit in ((flat.real, cn), (flat.imag, sn)):
+            part[start:start + n] += np.multiply(unit, sigma, out=noise[:n], dtype=np.float64)
+    return field
 
 
 def sample_coherent(mean, rng, size=None):

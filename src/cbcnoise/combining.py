@@ -208,9 +208,9 @@ def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) 
     sqrt(n/N) * sum_k (cos psi_k + 1j*sin psi_k), and one ``gaussian_field``
     vacuum: the combiner is unitary, so the N input vacua reaching port 0 add
     up to exactly one coherent-state vacuum.  Draw order: ``_box_muller_blocks`` float32 phases,
-    ceil(count/2) Philox words per beam, then the (count,) x and p blocks, so a given stream
-    always yields the same ensemble.  cos psi_k - 1 and sin psi_k, in float32, are added to N
-    and 0 in float64 beam by beam: a sample is within ~1e-7*sqrt(n) of float64 trig's sum.
+    ceil(count/2) Philox words per beam, then the port vacuum, one word per trial, so a given
+    stream always yields the same ensemble.  cos psi_k - 1 and sin psi_k, in float32, are added
+    to N and 0 in float64 beam by beam: a sample is within ~1e-7*sqrt(n) of float64 trig's sum.
     """
     x, p, c = np.full(count, float(config.n_beams)), np.zeros(count), None
     for psi in _box_muller_blocks(gen, math.sqrt(config.phase_var), config.n_beams, count):

@@ -18,6 +18,7 @@ from cbcnoise import (
     simulate_cascade,
     simulate_cbc,
 )
+from cbcnoise import coherent
 from cbcnoise.coherent import as_generator, gaussian_field, photon_number, quadratures
 
 
@@ -62,37 +63,77 @@ def test_sample_coherent_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_gaussian_field_draws_x_then_p():
-    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
-    z = gaussian_field(1.5 - 2j, gen, 3.0, (2, 4))
-    x, p = ref.normal(scale=3.0, size=(2, 4)), ref.normal(scale=3.0, size=(2, 4))
-    assert np.array_equal(z, 1.5 - 2j + x + 1j * p)
+def _field_by_hand(gen, mean, sigma, shape):
+    # word j gives sample j of the flattened field: float32 r*cos and r*sin, times sigma in float64
+    words, ulp = gen.bit_generator.random_raw(math.prod(shape)), np.float32(2.0 ** -32)
+    u1 = (words >> np.uint64(32)).astype(np.float32) * ulp + ulp
+    angle = (words & np.uint64(2 ** 32 - 1)).astype(np.float32) * np.float32(2 * math.pi) * ulp
+    r = np.sqrt(np.float32(-2) * np.log(u1))
+    field = np.full(shape, mean, complex)
+    field.real += ((r * np.cos(angle)).astype(np.float64) * sigma).reshape(shape)
+    field.imag += ((r * np.sin(angle)).astype(np.float64) * sigma).reshape(shape)
+    return field
+
+
+def test_gaussian_field_reads_one_word_per_sample(monkeypatch):
+    # 3-sample segments split the 8 samples 3 + 3 + 2; sigma 1e200 is beyond float32
+    for segment in (3, coherent._SEGMENT):
+        monkeypatch.setattr(coherent, "_SEGMENT", segment)
+        for sigma in (3.0, 1e200):
+            gen, ref = RngStream(9).generator(), RngStream(9).generator()
+            z = gaussian_field(1.5 - 2j, gen, sigma, (2, 4))
+            assert z.tobytes() == _field_by_hand(ref, 1.5 - 2j, sigma, (2, 4)).tobytes()
+            assert np.array_equal(gen.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
     # the shape defaults to the mean's
     assert gaussian_field(np.zeros(5), gen).shape == (5,)
 
 
+def test_gaussian_field_is_normal():
+    # 2^21 samples; the SEs of the mean, mean square and mean fourth power of x/sigma and p/sigma
+    # and of the mean of their product come from N(0, 1)'s own moments: Var(z) = 1,
+    # Var(z^2) = 2, Var(z^4) = 105 - 9 = 96 and, for independent x and p, Var(x*p) = 1
+    sigma, n = 0.5, 1 << 21
+    z = gaussian_field(0.0, RngStream(43).generator(), sigma, n) / sigma
+    x, p = z.real, z.imag
+    for q in (x, p):
+        assert abs(q.mean()) < 5 * math.sqrt(1 / n)
+        assert abs(np.mean(q ** 2) - 1) < 5 * math.sqrt(2 / n)
+        assert abs(np.mean(q ** 4) - 3) < 5 * math.sqrt(96 / n)
+    assert abs(np.mean(x * p)) < 5 * math.sqrt(1 / n)
+
+
+def test_every_element_of_a_broadcast_field_has_its_own_noise():
+    # a size that does not cover the mean's shape still draws the whole (2, 3) field
+    mean = np.array([[0.0], [10.0]])
+    z = sample_coherent(mean, RngStream(1), size=(3,))
+    assert z.tobytes() == sample_coherent(np.repeat(mean, 3, axis=1), RngStream(1)).tobytes()
+    assert not np.allclose(z[1] - 10.0, z[0])
+
+
 # (mean_x, mean_p, var_x, var_p, trials) of 5,001 trials on RngStream(606).
-# They pin the draw order of every sampler built on gaussian_field: a change
-# in the order of phases, x and p blocks, or stages changes them.
+# They pin the stream layout of every sampler built on gaussian_field: one
+# Philox word per field sample, the cbc phases first, the stages in order.
+# A change in that layout changes them; so may numpy's SIMD dispatch level,
+# since every draw takes numpy's float32 log, cos and sin.
 PINNED_STATS = {
-    "cbc": (19.81700496076717, -0.002056702721434216, 0.26891101355853925,
-            1.9063582371444536, 5001),
-    "amp_quantum_limited_0.0": (1.9597072276390743, 0.002474849422789023, 1.732145373948987,
-                                1.7108630862742529, 5001),
-    "amp_quantum_limited_0.3": (1.967595198215889, 0.002581452384303224, 2.372173262677027,
-                                2.3023529354304553, 5001),
-    "amp_measure_prepare_0.0": (1.959813123408459, 0.013152798786134418, 2.2576908234736757,
-                                2.336609926471636, 5001),
-    "amp_measure_prepare_0.3": (1.9349357328139893, 0.0016888049671412767, 2.9058661015306892,
-                                2.8912662993679303, 5001),
-    "amp_phase_sensitive_0.0": (1.9919357343791215, 0.0018496418118571683, 0.9988680948710232,
-                                0.06243244572346827, 5001),
-    "amp_phase_sensitive_0.3": (1.9631096816254994, 0.006253548915025826, 1.5833328900522914,
-                                0.6833080152773662, 5001),
-    "cascade": (3.928233474485286, 0.004830513111303756, 7.761265024551448,
-                7.5922805175659045, 5001),
-    "classical": (-0.07682172798594514, 0.014155304203743661, 10.894225553464787,
-                  10.776868295776081, 5001),
+    "cbc": (19.82554339389416, -0.0008086389587664896, 0.2669788799648675,
+            1.9657636900855338, 5001),
+    "amp_quantum_limited_0.0": (2.0118942673038904, -0.01579419906746123, 1.712049910727922,
+                                1.7309482902363136, 5001),
+    "amp_quantum_limited_0.3": (1.9973346763415016, -0.015443372076607354, 2.354107396283357,
+                                2.3611613797352575, 5001),
+    "amp_measure_prepare_0.0": (2.005657384944723, -0.015024915066821574, 2.225477898106178,
+                                2.248438255678591, 5001),
+    "amp_measure_prepare_0.3": (2.0101737901112267, -0.03371893379694307, 2.827242212735704,
+                                2.86978112707806, 5001),
+    "amp_phase_sensitive_0.0": (1.9914593468562556, -0.003885568143416785, 1.014768740106239,
+                                0.06189252986099594, 5001),
+    "amp_phase_sensitive_0.3": (2.0097368953505406, -0.003660238237234074, 1.5693471763629778,
+                                0.6674636236923873, 5001),
+    "cascade": (4.007510417049534, -0.03198063463486795, 7.6817515887929035,
+                7.64515579588208, 5001),
+    "classical": (0.007748125922814694, -0.04703821196265743, 10.915585992872412,
+                  10.859207321169524, 5001),
 }
 
 

@@ -296,7 +296,7 @@ def _traced_peak(draw):
 
 def test_cbc_chunk_memory_is_bounded():
     # a full chunk holds 65536 trials; 3 MiB holds the sums x and p, the port and
-    # gaussian_field's noise buffer (2.5 MiB), not those with the float32 phase
+    # gaussian_field's segment buffers (2.47 MiB), not those with the float32 phase
     # block and its cosines kept beside them (3.0 MiB at N = 2 and 32)
     for n_beams in (2, 32):
         cfg = CbcConfig(n_beams=n_beams, photons=1000.0, xi=5.0)
@@ -315,7 +315,7 @@ def test_gamma_chunk_memory_is_bounded():
 
 def test_amp_chunk_memory_is_bounded():
     # measure_prepare nests two gaussian_field draws about a scaled field; each copies
-    # its mean once and adds the noise in place (3.5 MiB), no sum temporaries (4.6 MiB)
+    # its mean once and adds the noise in place (3.47 MiB), no sum temporaries (4.6 MiB)
     kernel, width = chain_kernel((4.0, [AmplifierSpec(2.0, kind="measure_prepare")]), 10 ** 6)
     gen = RngStream(3).generator()
     assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 4 * 2 ** 20

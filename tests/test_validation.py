@@ -308,8 +308,16 @@ def test_an_amplifier_out_of_float_range_is_a_named_usage_error(tmp_path, capsys
 
 
 def test_an_amplifier_near_the_float_range_still_runs(capsys):
-    assert main(["simulate", "amp", "-G", "1e300", "--trials", "100000"]) == 0
-    assert "1 point(s), 0 outside" in capsys.readouterr().out
+    # the classical input's and the excess's deviations, 1e150 and ~1e145, are beyond float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "amp", "-G", "1e300", "--trials", "100000"]) == 0
+        assert "1 point(s), 0 outside" in capsys.readouterr().out
+        runs = [amplify_classical_input(AmplifierSpec(2.0), 1e300, 100000, RngStream(0))]
+        runs += [simulate_amplifier(AmplifierSpec(2.0, kind, 1e290), 100000, RngStream(0))
+                 for kind in ("quantum_limited", "measure_prepare", "phase_sensitive")]
+    for stats in runs:
+        assert all(map(math.isfinite, (stats.mean_x, stats.mean_p, stats.var_x, stats.var_p)))
 
 
 @pytest.mark.parametrize("make, message", [
