@@ -111,10 +111,18 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
     a = a if size is None else np.broadcast_to(a, size)
     g = spec.g
     if spec.kind == "phase_sensitive":
-        out = g * a.real + 1j * a.imag / g
+        # x*g and p*(1/g), the bits of g*x + 1j*p/g (numpy's complex division by g multiplies
+        # by 1/g) up to the sign of an exact zero, written into the two parts of one array
+        out = np.empty(a.shape, complex)
+        np.multiply(a.real, g, out=out.real)
+        np.multiply(a.imag, 1.0 / g, out=out.imag)
     elif spec.kind == "quantum_limited":
-        idler = np.conj(gaussian_field(0.0, gen, shape=a.shape))
-        out = g * a + math.sqrt(g * g - 1.0) * idler
+        # the idler conjugated and scaled in its own memory, then g*a added: float addition
+        # commutes, so every bit is as with g*a first
+        out = gaussian_field(0.0, gen, shape=a.shape)
+        np.conjugate(out, out=out)
+        out *= math.sqrt(g * g - 1.0)
+        out += g * a
     else:  # measure_prepare: measure with one vacuum, re-prepare with another
         out = gaussian_field(g * gaussian_field(a, gen), gen)
     if spec.n_cl > 0:

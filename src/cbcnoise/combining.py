@@ -139,6 +139,8 @@ def error_signals(amplitudes) -> np.ndarray:
     Transforming forward, zeroing port 0 and transforming back is exactly
     the projection alpha_j - mean(alpha), computed here directly along the
     last axis.  The signals sum to zero and vanish only for identical inputs.
+    The result is always a new array: ``phaselock.run_feedback`` calls this once per
+    measurement, on exp(1j*psi) in a buffer it reuses, and squares the result in place.
     """
     a = _beams(amplitudes)
     # sum / N is bit for bit a.mean(), without its overhead on the lock loop's path

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import RngStream, _finite, _scalar, _whole, photon_number, run_chunks
+from .coherent import _BLOCK, RngStream, _finite, _scalar, _whole, run_chunks
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -45,6 +45,12 @@ _MIN_CLICKS = 4
 # counts that clear _MIN_CLICKS sit above their rate more often than below,
 # and sqrt((count - 1) / budget) cancels most of that upward bias.
 _MAGNITUDE_SHRINK = 1.0
+
+# Below this many beams a measurement draws each beam's clicks with a scalar gen.poisson, in beam
+# order: the same random_poisson calls as one array draw, so the same counts and generator
+# position, at about 1 us a beam against about 10 us of numpy's array-argument checks.  The two
+# cost the same near N = 16 (2-vCPU x86, numpy 2.4).
+_POISSON_ARRAY_MIN = 16
 
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's, ~9.2e18
 
@@ -134,9 +140,14 @@ class LockState:
         return float(tail.mean() / sql)
 
 
-def _click_means(phases: np.ndarray, photons: float) -> np.ndarray:
-    eps = error_signals(np.exp(1j * phases))
-    return photons * photon_number(eps)
+def _row_variances(block: np.ndarray) -> list:
+    """Unbiased variance of each row of ``block`` as floats, in place (the block is spent): bit
+    for bit each row's own ``d = row - row.sum() / N; (d * d).sum() / (N - 1)``, as numpy sums
+    a row of a C-ordered block pairwise like a lone one."""
+    n = block.shape[1]
+    block -= (block.sum(axis=1) / n)[:, None]
+    block *= block
+    return (block.sum(axis=1) / (n - 1)).tolist()
 
 
 def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) -> LockState:
@@ -148,6 +159,13 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     rest of the photon budget.  Beams whose error light grew are reverted
     and their sign guess flipped.  History records the unbiased sample
     variance of the phases after each interval.
+
+    Draw order per interval: N drift normals (with drift), N probe Poissons, then N verify
+    Poissons when some beam is active.  A measurement is one ``error_signals`` call on
+    exp(1j*psi), its cos and sin written into one reused complex buffer, and click means
+    budget * |eps|^2; below _POISSON_ARRAY_MIN beams each beam's count is one scalar draw, in
+    beam order, which gives the array draw's counts and generator position.  The variances are
+    taken a block of intervals at a time (``_row_variances``), bit for bit the per-interval ones.
     """
     n_beams = config.n_beams
     if initial_phases is None:
@@ -163,27 +181,54 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     n_probe = config.photons * _PROBE_FRACTION
     n_verify = config.photons - n_probe
     drift_sigma = math.sqrt(config.drift_var)
+    unit = np.empty(n_beams, complex)  # exp(1j*psi) bit for bit: cos and sin into its parts
+    unit_re, unit_im = unit.real, unit.imag
+    means = np.empty(n_beams)
+    draw_each = n_beams < _POISSON_ARRAY_MIN
+
+    def clicks(psi, budget):
+        """Error-port click counts at ``budget`` photons per beam (a list or an array), and
+        their sum as an int."""
+        np.cos(psi, out=unit_re)
+        np.sin(psi, out=unit_im)
+        eps = error_signals(unit).view(float)  # a fresh array: its (re, im) pairs are squared
+        np.square(eps, out=eps)
+        np.add(eps[::2], eps[1::2], out=means)
+        np.multiply(means, budget, out=means)
+        if draw_each:
+            counts = [gen.poisson(m) for m in means.tolist()]
+            return counts, sum(counts)
+        counts = gen.poisson(means)
+        return counts, int(counts.sum())
+
+    rows = min(config.intervals, max(1, _BLOCK // n_beams))
+    block = np.empty((rows, n_beams))  # the phases after each of the last ``rows`` intervals
     clicks_total = 0
     history = []
     for t in range(config.intervals):
         if config.drift_var > 0:
-            phases = phases + gen.normal(scale=drift_sigma, size=n_beams)
-        probe = gen.poisson(_click_means(phases, n_probe))
-        clicks_total += int(probe.sum())
-        active = probe >= _MIN_CLICKS
-        if active.any():
+            phases += gen.normal(scale=drift_sigma, size=n_beams)
+        probe, total = clicks(phases, n_probe)
+        clicks_total += total
+        # a beam is active from _MIN_CLICKS clicks on, so a smaller total leaves none to test
+        if total >= _MIN_CLICKS and (active := np.greater_equal(probe, _MIN_CLICKS)).any():
+            probe = np.asarray(probe)
             magnitude = np.sqrt(np.maximum(probe - _MAGNITUDE_SHRINK, 0.0) / n_probe)
             move = np.where(active, signs * config.controller_gain * magnitude, 0.0)
             trial = phases - (move - move.sum() / n_beams)  # common phase is unobservable: zero-sum
-            verify = gen.poisson(_click_means(trial, n_verify))
-            clicks_total += int(verify.sum())
-            # compare click rates, not raw counts, across the unequal budgets
-            worse = active & (verify * n_probe > probe * n_verify)
-            if worse.any():
-                move[worse] = 0.0
-                signs[worse] *= -1.0
-                trial = phases - (move - move.sum() / n_beams)
+            verify, total = clicks(trial, n_verify)
+            clicks_total += total
+            # compare click rates, not raw counts, across the unequal budgets; an active beam
+            # has at least _MIN_CLICKS, so no beam is worse while the verify total is this low
+            if total * n_probe > _MIN_CLICKS * n_verify:
+                worse = active & (np.multiply(verify, n_probe) > probe * n_verify)
+                if worse.any():
+                    move[worse] = 0.0
+                    signs[worse] *= -1.0
+                    trial = phases - (move - move.sum() / n_beams)
             phases = trial
-        d = phases - phases.sum() / n_beams  # bit for bit np.var(phases, ddof=1), less overhead
-        history.append((t, float((d * d).sum() / (n_beams - 1))))
+        row = t % rows
+        block[row] = phases
+        if row == rows - 1 or t == config.intervals - 1:
+            history.extend(zip(range(t - row, t + 1), _row_variances(block[:row + 1])))
     return LockState(phases=phases, clicks_total=clicks_total, history=tuple(history))

@@ -21,7 +21,7 @@ from cbcnoise import (
     xi_threshold,
 )
 from cbcnoise import coherent
-from cbcnoise.amplifier import AmplifierSpec, chain_kernel
+from cbcnoise.amplifier import KINDS, AmplifierSpec, chain_kernel
 from cbcnoise.coherent import gaussian_field
 from cbcnoise.combining import (chunk_trials, combine_port_amplitude, gamma_sum_kernel,
                                 sample_cbc_outputs)
@@ -315,10 +315,13 @@ def test_gamma_chunk_memory_is_bounded():
 
 def test_amp_chunk_memory_is_bounded():
     # measure_prepare nests two gaussian_field draws about a scaled field; each copies
-    # its mean once and adds the noise in place (3.47 MiB), no sum temporaries (4.6 MiB)
-    kernel, width = chain_kernel((4.0, [AmplifierSpec(2.0, kind="measure_prepare")]), 10 ** 6)
-    gen = RngStream(3).generator()
-    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 4 * 2 ** 20
+    # its mean once and adds the noise in place (3.47 MiB), no sum temporaries (4.6 MiB);
+    # quantum_limited scales its idler in place (3.0 MiB, 4.0 with a conjugated copy and
+    # g*a beside it), and phase_sensitive writes x and p into one array (2.0 MiB, 2.63)
+    for kind in KINDS:
+        kernel, width = chain_kernel((4.0, [AmplifierSpec(2.0, kind=kind)]), 10 ** 6)
+        gen = RngStream(3).generator()
+        assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 4 * 2 ** 20, kind
 
 
 def test_phase_noise_is_asymmetric_between_quadratures():

@@ -160,6 +160,27 @@ PINNED_LOCK_RUNS = [
       -0.07466792731622415, -0.010621470190361991, -0.03661286213336686,
       0.0028864725599373284],
      "0cc41ba35a5fa88f1b7c69765a413722baa773cac97142bd231f5dd1c7f8a451"),
+    # N = 15 and 17 sit on either side of the scalar/array Poisson crossover
+    (15, 2000, 1.0, 100, 37, None, 797,
+     [0.0051927402535902785, 0.022331766637444846, -0.004896918005595172,
+      -0.020957386268165356, 0.04785421710851274, 0.02952333568863328,
+      0.011040529517959832, 0.027480334389467974, 0.0010031363159526013,
+      0.011465577386218583, 0.03745969001535532, -0.028331863310449654,
+      0.013355781699407649, 0.0026546072043263902, -0.05377615364112703],
+     "e45bba5dc03e204f6cf6379c6542f6f11c6212f21be70bc4bcea9766075981ab"),
+    (17, 2000, 1.0, 100, 41, None, 1216,
+     [0.04544052062857034, -0.04005065471088312, 0.04555323066769899,
+      -0.07294823312707807, 0.02579524815132766, -0.001384599039384999,
+      0.0221017953175386, 0.017017491579519775, -0.04488844854354747,
+      0.037315633691757576, -0.0001458722890952729, -0.05058538507991081,
+      0.018179447928279184, 0.0009349509199074548, 0.00981156357898345,
+      0.015280310183590285, -0.03263318423194725],
+     "cd50991151fe14158fa5633ca2cfda88d4a7747ed21a0d6acaf207619d6e2672"),
+    # 300 intervals of N = 512 fill the history block (128 rows) twice and part of a third;
+    # its phases are pinned by the sha256 of their repr
+    (512, 1000, 1.0, 300, 43, None, 24387,
+     "836606c8e9a8e556975846783d58457ed66eb69c004d349dd0494657d56d7b86",
+     "c96df93fdbd9c30a163195f1bf6a9a35f173ff286b133f34b9d31fb09d8c9dda"),
 ]
 
 
@@ -172,8 +193,49 @@ def test_run_feedback_is_pinned(n_beams, photons, drift_sqls, intervals, seed, i
                          intervals=intervals)
     state = run_feedback(cfg, RngStream(seed), initial_phases=init)
     assert state.clicks_total == clicks
-    assert state.phases.tolist() == phases
+    if isinstance(phases, str):
+        assert hashlib.sha256(repr(state.phases.tolist()).encode()).hexdigest() == phases
+    else:
+        assert state.phases.tolist() == phases
     assert hashlib.sha256(repr(state.history).encode()).hexdigest() == history_sha256
+
+
+def _cos_sin_is_exp(sigma):
+    psi = np.random.default_rng(3).normal(scale=sigma, size=1 << 18)
+    unit = np.empty(psi.size, complex)
+    np.cos(psi, out=unit.real)
+    np.sin(psi, out=unit.imag)
+    return unit.tobytes() == np.exp(1j * psi).tobytes()
+
+
+def _scalar_poisson_is_array_poisson(lam):
+    means = lam * np.linspace(0.5, 1.5, 9)
+    one, each = RngStream(5).generator(), RngStream(5).generator()
+    counts = one.poisson(means).tolist()
+    return ([each.poisson(m) for m in means.tolist()] == counts
+            and one.bit_generator.random_raw() == each.bit_generator.random_raw())
+
+
+def _block_variances_are_row_variances(n_beams):
+    rows = max(1, phaselock._BLOCK // n_beams)  # a full block, as in run_feedback
+    block = np.random.default_rng(n_beams).normal(0.01, 0.05, size=(rows, n_beams))
+    expected = []
+    for phases in block:
+        d = phases - phases.sum() / n_beams
+        expected.append(float((d * d).sum() / (n_beams - 1)))
+    return phaselock._row_variances(block) == expected
+
+
+# What run_feedback's byte-identity rests on: cos and sin written into a complex buffer are
+# exp(1j*psi); per-beam scalar Poisson draws are one array draw, counts and stream position;
+# a block's row variances are each row's own.  A numpy that breaks one fails here by name.
+@pytest.mark.parametrize("premise, arg", [
+    *((_cos_sin_is_exp, sigma) for sigma in (1e-3, 1.0, 1e3)),
+    *((_scalar_poisson_is_array_poisson, lam) for lam in (0.0, 1e-9, 3.2, 40.0)),
+    *((_block_variances_are_row_variances, n) for n in (2, 3, 7, 8, 9, 16, 512)),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else repr(v))
+def test_lock_loop_premises(premise, arg):
+    assert premise(arg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
