@@ -9,8 +9,8 @@ vacuum included, saturates the Heisenberg bound sqrt(var_x * var_p) = 1/4.
 Random numbers come from counter-based Philox streams addressed by a master
 seed plus an index tuple, so any (seed, index) pair reproduces the identical
 sequence regardless of how work is scheduled across threads or processes.
-Field noise and cbc phases are float32 Box-Muller pairs of raw Philox words:
-one word per complex field sample, two phases per word.
+Field noise, cbc phases and gamma terms are float32 Box-Muller pairs of raw
+Philox words: one word per complex field sample, two phases or terms per word.
 
 Every Monte Carlo ensemble in the package runs through ``run_chunks``:
 fixed-size chunks, one substream per chunk, statistics merged in chunk
@@ -38,7 +38,7 @@ _SIGMA_COH = 0.5
 # number) is independent of worker count.
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
-_BLOCK = 1 << 16  # elements per ``normal_blocks`` or ``_box_muller_blocks`` block
+_BLOCK = 1 << 16  # elements per ``_box_muller_blocks`` block, in rows of ``width``
 _SEGMENT = 1 << 14  # samples per ``gaussian_field`` segment
 _HIGH = int(sys.byteorder == "little")  # where a raw word's high half sits in its uint32 view
 
@@ -107,18 +107,6 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def normal_blocks(gen: np.random.Generator, sigma: float, count: int, width: int):
-    """Yield (row slice, block) pairs, in row order, holding gen.normal(scale=sigma, size=(count,
-    width)) bit for bit: blocks of at most _BLOCK elements (one row at least), all in one reused
-    float64 buffer, so each block is valid until the next one is drawn."""
-    step = max(1, _BLOCK // width)
-    buf = np.empty((min(step, count), width))
-    for start in range(0, count, step):
-        block = gen.standard_normal(out=buf[:count - start])  # the last block may be short
-        block *= sigma
-        yield slice(start, start + len(block)), block
-
-
 def _radius_angle(words, r, angle):
     """Box-Muller's float32 r = sqrt(-2 ln u1) and angle 2 pi u2 from raw Philox ``words`` (their
     uint32 view) into ``r`` and ``angle``: word j gives u1 = (high 32 bits + 1)*2^-32, in (0, 1],
@@ -129,21 +117,23 @@ def _radius_angle(words, r, angle):
     np.multiply(words[..., 1 - _HIGH::2], 2 * math.pi * 2.0 ** -32, out=angle, dtype=np.float32)
 
 
-def _box_muller_blocks(gen: np.random.Generator, sigma: float, beams: int, count: int):
-    """Yield (beams, count) float32 blocks of N(0, sigma^2) normals: whole beams in order, at most
-    _BLOCK elements (one beam at least), in one reused buffer valid until the next block.  Beam k
-    takes its own h = ceil(count/2) raw Philox words; word j's ``_radius_angle`` r and angle give
+def _box_muller_blocks(gen: np.random.Generator, sigma: float, rows: int, width: int):
+    """Yield (rows, width) float32 blocks of N(0, sigma^2) normals: whole rows in order, at most
+    _BLOCK elements (one row at least), in one reused buffer valid until the next block.  Row k
+    takes its own h = ceil(width/2) raw Philox words; word j's ``_radius_angle`` r and angle give
     normals j and j + h, (sigma*r)*cos(angle) and (sigma*r)*sin(angle), all in float32, so
     |normal| <= sqrt(64 ln 2)*sigma ~ 6.66 sigma."""
-    half, step = (count + 1) // 2, max(1, _BLOCK // count)
-    r, buf = (np.empty((min(step, beams), size), np.float32) for size in (half, count))
-    for start in range(0, beams, step):
-        block, rb = buf[:beams - start], r[:beams - start]  # the last block may be short
+    half, step = (width + 1) // 2, max(1, _BLOCK // width)
+    # the angles have their own buffer: numpy's float32 sin and cos go element by element when
+    # input and output interleave in memory, as the halves of rows of width 2 would
+    r, angle, buf = (np.empty((min(step, rows), size), np.float32) for size in (half, half, width))
+    for start in range(0, rows, step):
+        block, rb, ab = buf[:rows - start], r[:rows - start], angle[:rows - start]  # may be short
         cos, sin = block[:, :half], block[:, half:]
-        _radius_angle(gen.bit_generator.random_raw(rb.shape).view(np.uint32), rb, cos)
+        _radius_angle(gen.bit_generator.random_raw(rb.shape).view(np.uint32), rb, ab)
         rb *= sigma  # after the root, so no float32 ever holds sigma^2
-        np.multiply(np.sin(cos[:, :count - half], out=sin), rb[:, :count - half], out=sin)
-        np.multiply(np.cos(cos, out=cos), rb, out=cos)
+        np.multiply(np.sin(ab[:, :width - half], out=sin), rb[:, :width - half], out=sin)
+        np.multiply(np.cos(ab, out=cos), rb, out=cos)
         yield block
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (VAR_COH, QuadratureStats, RngStream, _box_muller_blocks, _finite, _fits,
-                       _whole, gaussian_field, normal_blocks, run_chunks)
+                       _whole, gaussian_field, run_chunks)
 from .coherent import chunk_trials as chunk_trials  # perfbench/tracing.py calls it from here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -262,7 +262,9 @@ def gamma_sum_kernel(n_terms: int, phase_var: float, trials: int):
     The phases are independent zero-mean Gaussians of variance phase_var;
     each sum is returned as a real sample, so it lands in the x quadrature
     of the chunk statistics.  Its law variance 2*N*phase_var^2 must fit
-    floats at ``trials``.
+    floats at ``trials``.  Trial j's unit normals z_k are row j of ``_box_muller_blocks``,
+    ceil(N/2) Philox words per trial; z_k^2 <= 64 ln 2 is squared in float32, summed over the
+    row in float64 and only then scaled by phase_var, so float32 never holds phase_var.
     """
     n_terms = _whole("N", n_terms)
     if n_terms < 1:
@@ -270,15 +272,14 @@ def gamma_sum_kernel(n_terms: int, phase_var: float, trials: int):
     if not 0.0 < phase_var < math.inf:
         raise ValueError(f"phase variance {phase_var!r} must be positive and finite")
     _fits("phase variance", phase_var, [2.0 * n_terms * phase_var * phase_var], trials)
-    sigma = math.sqrt(phase_var)
 
     def kernel(count, gen):
-        out = np.empty(count)
-        for rows, psi in normal_blocks(gen, sigma, count, n_terms):
-            # einsum sums a lone row > 8192 wide unlike a row among rows, so a one-row block
-            # of a longer chunk is summed paired with itself
-            both = np.broadcast_to(psi, (max(len(psi), min(2, count)), n_terms))
-            out[rows] = np.einsum("ij,ij->i", both, both)[:len(psi)]
+        out, sq, start = np.empty(count), None, 0
+        for z in _box_muller_blocks(gen, 1.0, count, n_terms):
+            sq = np.empty(z.shape) if sq is None else sq[:len(z)]
+            np.add.reduce(np.square(z, out=sq), axis=1, out=out[start:start + len(z)])
+            start += len(z)
+        out *= phase_var
         return out
     return kernel, n_terms
 

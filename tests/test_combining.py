@@ -263,8 +263,9 @@ def _whole_chunk_cbc(cfg, count, gen):
 
 
 def _whole_chunk_gamma(phase_var, count, n_terms, gen):
-    psi = gen.normal(scale=math.sqrt(phase_var), size=(count, n_terms))
-    return np.einsum("ij,ij->i", psi, psi)
+    # the kernel with the chunk's unit normals in one trial-major draw, squared in float32
+    z = _box_muller_by_hand(gen, 1.0, count, n_terms)
+    return np.square(z).astype(np.float64).sum(axis=1) * phase_var
 
 
 @pytest.mark.parametrize("block", [7, coherent._BLOCK, 1 << 19])  # any block size, the same bits
@@ -306,11 +307,13 @@ def test_cbc_chunk_memory_is_bounded():
 
 
 def test_gamma_chunk_memory_is_bounded():
-    # 2 MiB holds a 2^16-element block and the sums (1.0 MiB), not a 2^19-element
-    # block (4.6 MiB) or the chunk's whole phases (16 MiB)
-    kernel, width = gamma_sum_kernel(32, 1e-3, chunk_trials(32))
-    gen = RngStream(3).generator()
-    assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 2 * 2 ** 20
+    # a full chunk holds 65536 trials; 2 MiB holds the sums and one 2^16-element block's
+    # raw words, radii, angles, float32 normals and float64 squares (1.78 MiB at N = 2
+    # and 32), not a 2^19-element block or the chunk's 2^21 float64 squares at N = 32
+    for n_terms in (2, 32):
+        kernel, width = gamma_sum_kernel(n_terms, 1e-3, chunk_trials(n_terms))
+        gen = RngStream(3).generator()
+        assert _traced_peak(lambda: kernel(chunk_trials(width), gen)) <= 2 * 2 ** 20, n_terms
 
 
 def test_amp_chunk_memory_is_bounded():

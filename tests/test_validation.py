@@ -371,6 +371,16 @@ def test_a_cbc_phase_spread_near_the_float32_range_still_runs():
     assert all(map(math.isfinite, (stats.mean_x, stats.var_x, stats.var_p)))
 
 
+def test_a_gamma_phase_var_beyond_the_float32_range_still_runs():
+    # float32 holds the unit terms only; phase_var 1e40 (not a float32) scales their float64 sums
+    n_terms, phase_var, trials = 2, 1e40, 100_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mean, _ = gamma_sum_statistics(n_terms, phase_var, trials, RngStream(0))
+    se_mean = math.sqrt(2 * n_terms * phase_var ** 2 / trials)
+    assert math.isfinite(mean) and abs(mean - n_terms * phase_var) < 5 * se_mean
+
+
 def test_an_input_var_beyond_float_range_in_vacuum_units_draws_nothing(monkeypatch):
     # 5e307 is finite, but 5e307 / 0.25 vacuum units is not
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew a sample"))
