@@ -13,7 +13,7 @@ from cbcnoise import FeedbackConfig, RngStream, run_feedback, sql_phase_variance
 
 
 def show_track(state, sql, every=10):
-    track = state.variance_track()
+    track = state.history
     for index in range(0, len(track), every):
         bar = "#" * max(1, int(round(track[index] / sql)))
         print(f"  interval {index:3d}: Var(psi)/SQL = {track[index] / sql:8.2f}  {bar}")

@@ -240,7 +240,7 @@ def _lock_score(lock, state, k):
     config, _ = lock
     ratio = state.steady_state_ratio(config)
     sql = cbc_mod.sql_phase_variance(config.n_beams, config.photons)
-    final_var = float(state.history[-1][1])
+    final_var = float(state.history[-1])
     measured = {"steady_ratio": ratio, "final_var": final_var, "clicks": state.clicks_total}
     if config.drift_var > 0:
         # drifting loop cannot hold below the single-interval quantum limit

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,31 +123,28 @@ def _spread_fits(config: FeedbackConfig, start: float) -> bool:
 
 @dataclass(frozen=True)
 class LockState:
-    """Result of a feedback run."""
+    """Result of a feedback run: the final phases, the click total, and ``history``, a float64
+    array holding the unbiased sample Var(psi) after each interval, one entry per interval."""
 
     phases: np.ndarray
     clicks_total: int
-    history: tuple = field(default=())  # (interval index, sample Var(psi)) pairs
-
-    def variance_track(self) -> np.ndarray:
-        return np.array([v for _, v in self.history])
+    history: np.ndarray
 
     def steady_state_ratio(self, config: FeedbackConfig) -> float:
         """Var(psi) over the single-interval quantum limit, averaged over the last half."""
-        track = self.variance_track()
-        tail = track[len(track) // 2:]
+        tail = self.history[len(self.history) // 2:]
         sql = sql_phase_variance(config.n_beams, config.photons)
         return float(tail.mean() / sql)
 
 
-def _row_variances(block: np.ndarray) -> list:
-    """Unbiased variance of each row of ``block`` as floats, in place (the block is spent): bit
-    for bit each row's own ``d = row - row.sum() / N; (d * d).sum() / (N - 1)``, as numpy sums
-    a row of a C-ordered block pairwise like a lone one."""
+def _row_variances(block: np.ndarray) -> np.ndarray:
+    """Unbiased variance of each row of ``block``, in place (the block is spent): bit for bit
+    each row's own ``d = row - row.sum() / N; (d * d).sum() / (N - 1)``, as numpy sums a row of
+    a C-ordered block pairwise like a lone one."""
     n = block.shape[1]
     block -= (block.sum(axis=1) / n)[:, None]
     block *= block
-    return (block.sum(axis=1) / (n - 1)).tolist()
+    return block.sum(axis=1) / (n - 1)
 
 
 def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) -> LockState:
@@ -157,15 +154,16 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     tentatively correct the clicked beams by gain * estimated magnitude with
     the remembered sign (zero-sum across all beams), then verify with the
     rest of the photon budget.  Beams whose error light grew are reverted
-    and their sign guess flipped.  History records the unbiased sample
-    variance of the phases after each interval.
+    and their sign guess flipped.  ``history`` is a float64 array of the
+    unbiased sample variance of the phases after each interval.
 
     Draw order per interval: N drift normals (with drift), N probe Poissons, then N verify
     Poissons when some beam is active.  A measurement is one ``error_signals`` call on
     exp(1j*psi), its cos and sin written into one reused complex buffer, and click means
     budget * |eps|^2; below _POISSON_ARRAY_MIN beams each beam's count is one scalar draw, in
     beam order, which gives the array draw's counts and generator position.  The variances are
-    taken a block of intervals at a time (``_row_variances``), bit for bit the per-interval ones.
+    taken a block of intervals at a time (``_row_variances``), bit for bit the per-interval ones,
+    and the block arrays are joined once at the end, so memory grows with completed intervals.
     """
     n_beams = config.n_beams
     if initial_phases is None:
@@ -230,5 +228,5 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         row = t % rows
         block[row] = phases
         if row == rows - 1 or t == config.intervals - 1:
-            history.extend(zip(range(t - row, t + 1), _row_variances(block[:row + 1])))
-    return LockState(phases=phases, clicks_total=clicks_total, history=tuple(history))
+            history.append(_row_variances(block[:row + 1]))
+    return LockState(phases=phases, clicks_total=clicks_total, history=np.concatenate(history))

@@ -193,7 +193,7 @@ def test_criterion_11_feedback_property():
     for seed in range(seeds):
         state = run_feedback(config, MASTER.substream(11, seed),
                              initial_phases=[0.05, -0.05])
-        track = state.variance_track()
+        track = state.history
         tracks.append(track)
         reached += track[-1] <= 10 * sql
     tracks = np.array(tracks)

@@ -1,6 +1,7 @@
 """Tests for click-rate sensing and the probe-and-verify lock loop."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cbcnoise import (
     two_beam_click_rate,
 )
 from cbcnoise import phaselock
-from cbcnoise.engine import ExperimentPlan, run_plan
+from cbcnoise.engine import EXPERIMENTS, ExperimentPlan, _lock_config, run_plan
 from cbcnoise.phaselock import LockState
 
 
@@ -81,7 +82,7 @@ def test_feedback_config_validation():
 
 def test_steady_state_ratio_arithmetic():
     cfg = FeedbackConfig(n_beams=2, photons=100, intervals=2)
-    state = LockState(phases=np.zeros(2), clicks_total=0, history=((0, 0.04), (1, 0.02)))
+    state = LockState(phases=np.zeros(2), clicks_total=0, history=np.array([0.04, 0.02]))
     # tail of the last half is just the final entry; SQL here is 0.01
     assert state.steady_state_ratio(cfg) == pytest.approx(2.0)
 
@@ -96,7 +97,7 @@ def test_run_feedback_deterministic():
     cfg = FeedbackConfig(n_beams=2, photons=5000, intervals=40)
     a = run_feedback(cfg, RngStream(17), initial_phases=[0.05, -0.05])
     b = run_feedback(cfg, RngStream(17), initial_phases=[0.05, -0.05])
-    assert a.history == b.history
+    assert a.history.tobytes() == b.history.tobytes()
     assert np.array_equal(a.phases, b.phases)
 
 
@@ -122,7 +123,7 @@ def test_corrections_are_zero_sum():
 def test_lock_acquisition_two_beams(seed):
     cfg = FeedbackConfig(n_beams=2, photons=10_000, intervals=60)
     state = run_feedback(cfg, RngStream(101 + seed), initial_phases=[0.05, -0.05])
-    track = state.variance_track()
+    track = state.history
     sql = sql_phase_variance(2, 10_000)
     assert track[-1] <= 10 * sql
     assert track[-1] < track[0]
@@ -197,7 +198,9 @@ def test_run_feedback_is_pinned(n_beams, photons, drift_sqls, intervals, seed, i
         assert hashlib.sha256(repr(state.phases.tolist()).encode()).hexdigest() == phases
     else:
         assert state.phases.tolist() == phases
-    assert hashlib.sha256(repr(state.history).encode()).hexdigest() == history_sha256
+    # the repr of the (interval, variance) pairs the history once was, so the pins still hold
+    history = repr(tuple(enumerate(state.history.tolist())))
+    assert hashlib.sha256(history.encode()).hexdigest() == history_sha256
 
 
 def _cos_sin_is_exp(sigma):
@@ -223,7 +226,7 @@ def _block_variances_are_row_variances(n_beams):
     for phases in block:
         d = phases - phases.sum() / n_beams
         expected.append(float((d * d).sum() / (n_beams - 1)))
-    return phaselock._row_variances(block) == expected
+    return phaselock._row_variances(block).tolist() == expected
 
 
 # What run_feedback's byte-identity rests on: cos and sin written into a complex buffer are
@@ -245,6 +248,33 @@ def test_lock_plan_point_is_pinned(workers):
     result = run_plan(ExperimentPlan("lock", (record,), master_seed=5), workers=workers)
     assert result.points[0].measured == {
         "steady_ratio": 2.3911995635633656, "final_var": 0.00011955997817816829, "clicks": 195}
+
+
+def test_history_is_one_float64_array():
+    # one variance per interval, also where N = 512 spreads 300 intervals over three blocks
+    for n_beams, intervals in ((2, 7), (512, 300)):
+        cfg = FeedbackConfig(n_beams=n_beams, photons=1000,
+                             drift_var=sql_phase_variance(n_beams, 1000), intervals=intervals)
+        history = run_feedback(cfg, RngStream(43)).history
+        assert isinstance(history, np.ndarray) and history.dtype == np.float64
+        assert history.shape == (intervals,)
+    # a lock point's final_var is the last entry of its loop's history
+    record = {"N": 3, "n": 10000, "init_spread": 0.05, "intervals": 60}
+    result = run_plan(ExperimentPlan("lock", (record,), master_seed=5))
+    config, init = _lock_config({**EXPERIMENTS["lock"].options, **record})
+    state = run_feedback(config, RngStream(5).substream(0), initial_phases=init)
+    assert result.points[0].measured["final_var"] == state.history[-1]
+    # 32 bytes an interval at N = 2 (the block's two phases, the block variances and the
+    # joined array), against 132 for the (interval, variance) pairs the history once was
+    cfg = FeedbackConfig(n_beams=2, photons=1000, intervals=10_000)
+    run_feedback(FeedbackConfig(n_beams=2, photons=1000, intervals=10), RngStream(3))
+    tracemalloc.start()
+    try:
+        run_feedback(cfg, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * cfg.intervals, peak
 
 
 def test_min_detectable_phase_var_is_one_or_two_over_n_bit_for_bit():
