@@ -12,8 +12,8 @@ adds nothing but its classical excess n_cl.
 Noise budgets here split a variance into a quantum floor, which is exactly
 one vacuum unit for any field built on coherent states, and classical excess
 in the same units.  Amplification keeps the floor at one unit and moves
-everything it adds, plus the amplified input excess, into the classical
-part: 1 unit in, (1 + 2*(G-1)) out, and G times any excess on top.  Folding
+everything it adds, plus G times all input noise above the floor, quantum or
+classical, into the classical part: 1 unit in, (1 + 2*(G-1)) out.  Folding
 stages of a cascade therefore reproduces the single-amplifier law for the
 total gain, so splitting a gain into stages buys nothing.
 """
@@ -134,22 +134,23 @@ def amplify_sample(field, spec: AmplifierSpec, rng, size=None):
 def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
     """Transform a noise budget through one amplifier stage.
 
-    The quantum floor stays at one unit; added noise and the amplified input
-    excess land in the classical part.  For the phase-sensitive case the
-    returned budget describes the amplified quadrature, both parts scaled
-    by G.  Every kind then adds its 2*G*n_cl units of classical excess.  A
-    budget that overflows is an error naming G, or n_cl if only the excess does.
+    The quantum floor stays at one unit; added noise and G times all input noise above
+    the floor, quantum or classical, land in the classical part.  For the phase-sensitive
+    case the returned budget describes the amplified quadrature, both parts scaled by G.
+    Every kind then adds its 2*G*n_cl units of classical excess.  A budget that overflows
+    is an error naming G, or n_cl if only the excess does.
     """
     if budget.quantum_units < 1.0:
         raise ValueError("input below the Heisenberg floor is unphysical here")
     big_g = spec.gain
     quantum = 1.0
+    above = budget.classical_units + (budget.quantum_units - 1.0)  # + 0.0 on a unit floor
     if spec.kind == "phase_sensitive":
         quantum, classical = big_g * budget.quantum_units, big_g * budget.classical_units
     elif spec.kind == "quantum_limited":
-        classical = big_g * budget.classical_units + 2.0 * (big_g - 1.0)
+        classical = big_g * above + 2.0 * (big_g - 1.0)
     else:  # measure_prepare
-        classical = big_g * (2.0 + budget.classical_units)
+        classical = big_g * (2.0 + above)
     excess = 2.0 * spec.n_cl * big_g  # 0, not inf * 0, when n_cl = 0 and 2*G overflows
     for name, units in (("G", classical), ("n_cl", classical + excess)):
         if not math.isfinite(units):
@@ -158,18 +159,15 @@ def predict_variance(spec: AmplifierSpec, budget: NoiseBudget) -> NoiseBudget:
 
 
 def cascade(specs, budget: NoiseBudget) -> NoiseBudget:
-    """Fold a chain of quantum-limited stages over an input budget.
+    """Fold ``predict_variance`` over stages of any kind, in order.
 
-    An empty chain returns the input unchanged.  For a pure input the result
-    depends only on the total gain: any split of G into stages lands on
-    (1 + 2*(G-1)) total units.
+    An empty chain returns the input unchanged; after a phase-sensitive stage the budget
+    describes the amplified quadrature.  For a pure input through quantum-limited stages the
+    result depends only on the total gain: any split of G lands on (1 + 2*(G-1)) total units.
     """
-    out = budget
     for spec in specs:
-        if spec.kind != "quantum_limited":
-            raise ValueError("cascade folding covers quantum-limited stages only")
-        out = predict_variance(spec, out)
-    return out
+        budget = predict_variance(spec, budget)
+    return budget
 
 
 def equal_stages(total_gain: float, stages: int) -> list:
@@ -183,11 +181,10 @@ def equal_stages(total_gain: float, stages: int) -> list:
 
 
 def predict_chain(chain, input_units=1.0) -> dict:
-    """Predicted mean_x, var_x and var_p of a (total G, specs) chain on an input of amplitude 1."""
+    """Predicted mean_x, var_x and var_p of a (total G, specs) chain on an input of amplitude 1
+    and input_units of noise: var_x is ``cascade`` on it; a phase-sensitive stage shrinks p."""
     total_gain, specs = chain
-    budget = NoiseBudget(1.0, input_units - 1.0)
-    for spec in specs:
-        budget = predict_variance(spec, budget)
+    budget = cascade(specs, NoiseBudget(1.0, input_units - 1.0))
     var_p = budget.total_variance
     if specs[0].kind == "phase_sensitive":  # an amp point's one stage; p shrinks by 1/G
         var_p = (input_units / specs[0].gain + 2.0 * specs[0].n_cl * specs[0].gain) * VAR_COH

@@ -62,7 +62,10 @@ def xi_threshold(n_beams: int) -> float:
     combined beam quieter than a single quantum-limited amplifier of gain N.
     """
     sql_phase_variance(_whole("N", n_beams), 1.0)  # checks N is whole and >= 2
-    return (n_beams - 1) ** 2 / 2.0
+    try:
+        return (n_beams - 1) ** 2 / 2.0
+    except OverflowError:
+        raise ValueError(f"N = {n_beams!r} puts (N-1)^2/2 out of float range") from None
 
 
 @dataclass(frozen=True)

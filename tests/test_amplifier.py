@@ -97,9 +97,24 @@ def test_cascade_empty_is_identity():
     assert cascade([], b) == b
 
 
-def test_cascade_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        cascade([AmplifierSpec(2.0, kind="measure_prepare")], VACUUM)
+def test_cascade_folds_every_kind_over_all_noise_above_the_floor():
+    # a phase-sensitive G = 4 stage leaves 4 quantum units; G = 2 then gives 2*4 + 1 = 9
+    stages = [AmplifierSpec(2.0, kind="phase_sensitive"), AmplifierSpec(math.sqrt(2.0))]
+    by_hand = predict_variance(stages[1], predict_variance(stages[0], VACUUM))
+    assert by_hand.total_units == pytest.approx(9.0, rel=1e-12)
+    assert cascade(stages, VACUUM) == by_hand
+    # 3 units in fold alike however they split between floor and excess
+    for kind, total_units in (("quantum_limited", 7.0), ("measure_prepare", 9.0)):
+        spec = AmplifierSpec(math.sqrt(2.0), kind)
+        outs = [predict_variance(spec, budget).total_units
+                for budget in (NoiseBudget(3.0), NoiseBudget(1.0, 2.0))]
+        assert outs == pytest.approx([total_units] * 2, rel=1e-12) and outs[0] == outs[1]
+    # squeezing below the floor and amplifying again stays an error, not a number
+    with pytest.raises(ValueError, match="below the Heisenberg floor"):
+        cascade([AmplifierSpec(0.5, kind="phase_sensitive"), AmplifierSpec(2.0)], VACUUM)
+    # a unit-floor input keeps its bits: G*excess + 2*(G-1)
+    out = predict_variance(AmplifierSpec(2.0), NoiseBudget(1.0, 2.5))
+    assert out.classical_units == 4.0 * 2.5 + 2.0 * 3.0
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -424,6 +424,9 @@ BIG = "1" + "0" * 400  # a whole number no float can hold
 
 @pytest.mark.parametrize("argv, plan, message", [
     (["predict", "--threshold", "-N", BIG], "", "N is too large"),
+    (["predict", "--threshold", "-N", "1.4e154"], "",
+     "N = 1.4e+154 puts (N-1)^2/2 out of float range"),
+    (["predict", "-N", "1e200", "-n", "1000"], "", "N = 1e+200 puts (N-1)^2/2 out of float range"),
     (["predict", "--amp", "-N", BIG], "", "N is too large for a float"),
     (["predict", "--amp", "-G", "1e400"], "", "G must be positive and finite"),
     (["simulate", "cbc", "-N", BIG, "-n", "100"], "", "N is too large"),
@@ -436,8 +439,8 @@ BIG = "1" + "0" * 400  # a whole number no float can hold
     (["simulate", "--plan", "{plan}"], f"cbc\ngrid.N = {BIG}\ngrid.n = 100", "N is too large"),
     (["simulate", "--plan", "{plan}"], f"cbc\ngrid.N = 2\ngrid.n = {BIG}", "n is too large"),
     (["simulate", "--plan", "{plan}"], f"amp\ngrid.G = {BIG}", "G is too large"),
-], ids=["threshold", "predict-amp", "predict-amp-G", "cbc", "lock", "gamma", "cascade", "compare", "plan-N",
-        "plan-n", "plan-G"])
+], ids=["threshold", "threshold-square", "predict-all", "predict-amp", "predict-amp-G", "cbc",
+        "lock", "gamma", "cascade", "compare", "plan-N", "plan-n", "plan-G"])
 def test_a_count_or_gain_beyond_float_range_is_a_usage_error(tmp_path, capsys, argv, plan,
                                                              message):
     path = tmp_path / "plan.txt"
