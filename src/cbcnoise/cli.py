@@ -201,6 +201,8 @@ def cmd_simulate(args) -> tuple:
 # ---------------------------------------------------------------------------
 # compare
 
+_COMPARE_MAX_ROWS = 100_000  # rows of about 1 KiB each, so a table holds ~100 MiB at most
+
 
 def cmd_compare(args) -> tuple:
     try:
@@ -209,6 +211,9 @@ def cmd_compare(args) -> tuple:
         raise ValueError(f"--xi must be a comma list of numbers, got {args.xi!r}") from None
     if args.N_max < args.N_min:
         raise ValueError("empty N range")
+    if (rows := (args.N_max - args.N_min + 1) * len(xis)) > _COMPARE_MAX_ROWS:
+        raise ValueError(f"--N-max {args.N_max} gives {rows} rows from --N-min {args.N_min}, "
+                         f"past the {_COMPARE_MAX_ROWS} a table may hold")
     records = []
     for n_beams in range(args.N_min, args.N_max + 1):
         xi_star = xi_threshold(n_beams)  # first, so N < 2 is named as too few beams

@@ -46,12 +46,6 @@ _MIN_CLICKS = 4
 # and sqrt((count - 1) / budget) cancels most of that upward bias.
 _MAGNITUDE_SHRINK = 1.0
 
-# Below this many beams a measurement draws each beam's clicks with a scalar gen.poisson, in beam
-# order: the same random_poisson calls as one array draw, so the same counts and generator
-# position, at about 1 us a beam against about 10 us of numpy's array-argument checks.  The two
-# cost the same near N = 16 (2-vCPU x86, numpy 2.4).
-_POISSON_ARRAY_MIN = 16
-
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's, ~9.2e18
 
 
@@ -108,7 +102,7 @@ class FeedbackConfig:
             raise ValueError("controller gain must be in (0, 1]")
         if self.intervals < 1:
             raise ValueError("need at least one interval")
-        if self.photons * max(4, self.n_beams) > 1.5 * _POISSON_MAX:  # 8n/3 a port, 2nN/3 in sum
+        if self.photons * max(4, self.n_beams) > 1.5 * _POISSON_MAX:  # one draw, mean <= 2nN/3
             raise ValueError(f"n {self.photons!r} may put a click mean past numpy's Poisson limit")
         if not _spread_fits(self, 0.0):
             raise ValueError(f"drift_var {self.drift_var!r} may overflow Var(psi)/SQL")
@@ -147,6 +141,15 @@ def _row_variances(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=1) / (n - 1)
 
 
+def _clicks(gen, power: np.ndarray, budget: float, read) -> tuple:
+    """(total, counts or None) of Poisson clicks at means budget * power: one draw of the total,
+    split in power / power.sum() by a multinomial only if ``read(total)`` and the total is not 0.
+    Independent Poisson counts are their total split so (Kingman, *Poisson Processes*, 1993)."""
+    share = power.sum()  # numpy's own pairwise sum, not BLAS: positive wherever the total is
+    total = int(gen.poisson(budget * share))
+    return total, gen.multinomial(total, power / share) if total and read(total) else None
+
+
 def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) -> LockState:
     """Run the probe-and-verify lock loop for the configured intervals.
 
@@ -157,11 +160,11 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     and their sign guess flipped.  ``history`` is a float64 array of the
     unbiased sample variance of the phases after each interval.
 
-    Draw order per interval: N drift normals (with drift), N probe Poissons, then N verify
-    Poissons when some beam is active.  A measurement is one ``error_signals`` call on
-    exp(1j*psi), its cos and sin written into one reused complex buffer, and click means
-    budget * |eps|^2; below _POISSON_ARRAY_MIN beams each beam's count is one scalar draw, in
-    beam order, which gives the array draw's counts and generator position.  The variances are
+    Draw order per interval: N drift normals (with drift), the probe total, its per-beam split
+    when the total is at least _MIN_CLICKS, then, when some beam is active, the verify total and
+    its split when the total is high enough for some beam to be worse.  A measurement is one
+    ``error_signals`` call on exp(1j*psi), its cos and sin written into one reused complex
+    buffer, and ``_clicks`` of the click means budget * |eps|^2.  The variances are
     taken a block of intervals at a time (``_row_variances``), bit for bit the per-interval ones,
     and the block arrays are joined once at the end, so memory grows with completed intervals.
     """
@@ -181,23 +184,13 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     drift_sigma = math.sqrt(config.drift_var)
     unit = np.empty(n_beams, complex)  # exp(1j*psi) bit for bit: cos and sin into its parts
     unit_re, unit_im = unit.real, unit.imag
-    means = np.empty(n_beams)
-    draw_each = n_beams < _POISSON_ARRAY_MIN
 
-    def clicks(psi, budget):
-        """Error-port click counts at ``budget`` photons per beam (a list or an array), and
-        their sum as an int."""
+    def clicks(psi, budget, read):  # _clicks of the error light |eps|^2 of exp(1j*psi)
         np.cos(psi, out=unit_re)
         np.sin(psi, out=unit_im)
         eps = error_signals(unit).view(float)  # a fresh array: its (re, im) pairs are squared
         np.square(eps, out=eps)
-        np.add(eps[::2], eps[1::2], out=means)
-        np.multiply(means, budget, out=means)
-        if draw_each:
-            counts = [gen.poisson(m) for m in means.tolist()]
-            return counts, sum(counts)
-        counts = gen.poisson(means)
-        return counts, int(counts.sum())
+        return _clicks(gen, eps[::2] + eps[1::2], budget, read)
 
     rows = min(config.intervals, max(1, _BLOCK // n_beams))
     block = np.empty((rows, n_beams))  # the phases after each of the last ``rows`` intervals
@@ -206,20 +199,19 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     for t in range(config.intervals):
         if config.drift_var > 0:
             phases += gen.normal(scale=drift_sigma, size=n_beams)
-        probe, total = clicks(phases, n_probe)
+        # a beam is active from _MIN_CLICKS clicks on, so a smaller total is never split
+        total, probe = clicks(phases, n_probe, lambda k: k >= _MIN_CLICKS)
         clicks_total += total
-        # a beam is active from _MIN_CLICKS clicks on, so a smaller total leaves none to test
-        if total >= _MIN_CLICKS and (active := np.greater_equal(probe, _MIN_CLICKS)).any():
-            probe = np.asarray(probe)
+        if probe is not None and (active := probe >= _MIN_CLICKS).any():
             magnitude = np.sqrt(np.maximum(probe - _MAGNITUDE_SHRINK, 0.0) / n_probe)
             move = np.where(active, signs * config.controller_gain * magnitude, 0.0)
             trial = phases - (move - move.sum() / n_beams)  # common phase is unobservable: zero-sum
-            verify, total = clicks(trial, n_verify)
-            clicks_total += total
             # compare click rates, not raw counts, across the unequal budgets; an active beam
-            # has at least _MIN_CLICKS, so no beam is worse while the verify total is this low
-            if total * n_probe > _MIN_CLICKS * n_verify:
-                worse = active & (np.multiply(verify, n_probe) > probe * n_verify)
+            # has at least _MIN_CLICKS, so below this verify total no beam is worse: no split
+            total, verify = clicks(trial, n_verify, lambda k: k * n_probe > _MIN_CLICKS * n_verify)
+            clicks_total += total
+            if verify is not None:
+                worse = active & (verify * n_probe > probe * n_verify)
                 if worse.any():
                     move[worse] = 0.0
                     signs[worse] *= -1.0

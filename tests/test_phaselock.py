@@ -146,47 +146,47 @@ def test_drifting_lock_sits_above_the_quantum_floor(seed):
 # Recorded outputs of run_feedback on fixed seeds: any edit to the loop that
 # changes a draw, a comparison or a floating-point step shows up here.
 PINNED_LOCK_RUNS = [
-    (2, 5000, 0.0, 60, 17, [0.05, -0.05], 244,
-     [0.008067955854707133, -0.008067955854707133],
-     "5a22d1a303aa2639e0f5d8a9a3e3a004be0380ce7c1224fb6132d4dad7ed31c4"),
-    (4, 10_000, 1.0, 120, 29, None, 411,
-     [-0.007979728651684292, -0.01879353219468832, -0.0004580551243031259,
-      -0.002826971892167787],
-     "c8df896c313fe4f2dd179bd06b0210f814192c17a0a12839880c4368f3d2855f"),
-    (16, 1000, 1.0, 80, 31, None, 1254,
-     [0.02676933208038344, 0.025372652074952425, -0.01046312049245687,
-      0.011088132860952823, 0.06629457811248336, 0.036516441655866115,
-      0.02168851550830556, -0.11776542318089456, 0.07245823081227871,
-      -0.030157698036182682, 0.012439229858849845, 0.0771128832125656,
-      -0.07466792731622415, -0.010621470190361991, -0.03661286213336686,
-      0.0028864725599373284],
-     "0cc41ba35a5fa88f1b7c69765a413722baa773cac97142bd231f5dd1c7f8a451"),
-    # N = 15 and 17 sit on either side of the scalar/array Poisson crossover
-    (15, 2000, 1.0, 100, 37, None, 797,
-     [0.0051927402535902785, 0.022331766637444846, -0.004896918005595172,
-      -0.020957386268165356, 0.04785421710851274, 0.02952333568863328,
-      0.011040529517959832, 0.027480334389467974, 0.0010031363159526013,
-      0.011465577386218583, 0.03745969001535532, -0.028331863310449654,
-      0.013355781699407649, 0.0026546072043263902, -0.05377615364112703],
-     "e45bba5dc03e204f6cf6379c6542f6f11c6212f21be70bc4bcea9766075981ab"),
-    (17, 2000, 1.0, 100, 41, None, 1216,
-     [0.04544052062857034, -0.04005065471088312, 0.04555323066769899,
-      -0.07294823312707807, 0.02579524815132766, -0.001384599039384999,
-      0.0221017953175386, 0.017017491579519775, -0.04488844854354747,
-      0.037315633691757576, -0.0001458722890952729, -0.05058538507991081,
-      0.018179447928279184, 0.0009349509199074548, 0.00981156357898345,
-      0.015280310183590285, -0.03263318423194725],
-     "cd50991151fe14158fa5633ca2cfda88d4a7747ed21a0d6acaf207619d6e2672"),
+    (2, 5000, 0.0, 60, 17, [0.05, -0.05], 248,
+     [0.009840080551169698, -0.009840080551169698],
+     "155ccbbe04b17be45e34c644d5e1a372e2f824853d1cf11f92f37e261a7d7bfd"),
+    (4, 10_000, 1.0, 120, 29, None, 656,
+     [-0.055094621215347646, -0.05379942051874321, -0.05992217170539068,
+      -0.04936944591195106],
+     "c8dc3dcf51a2cc8c7ca38a034eebcfa5b25e8d1ef3dc865de2600ae3b28b562a"),
+    (16, 1000, 1.0, 80, 31, None, 1460,
+     [0.015495690489205639, -1.1204458775179016e-05, -0.08085058363371132,
+      -0.006489836337681796, 0.06958912240922166, 0.06924619582675125,
+      0.020511595767029468, 0.029415664189524668, 0.04095269960261873,
+      -0.010068813761301258, -0.05457871488940322, -0.01133569191625118,
+      -0.007039249867107198, 0.04035983157546859, -0.021027545896260096,
+      -0.01890712662068851],
+     "33ae3b4eefbc36656754f52406ed803c5f8ba7027bb2fabf56e697ad779db71d"),
+    (15, 2000, 1.0, 100, 37, None, 1173,
+     [-0.013230073268245648, 0.016820587824019604, 0.036281995970466656,
+      -0.0151921443225774, -0.004934457267545839, 0.005410482886181256,
+      -0.02944347977293672, -0.016812700436530693, -0.039724641788824594,
+      -0.018280404681022044, -0.0014677826078567393, -0.060089492517384054,
+      -0.010658528978462098, -0.053163041058529176, 0.03811120498907014],
+     "073d2465852700f7766c8b3b184668965a8c323ccd5c93741327e0ee750a732d"),
+    (17, 2000, 1.0, 100, 41, None, 1173,
+     [-0.01084031688163603, -0.05741303905701502, -0.027279676662172257,
+      -0.009052520776167838, 0.005881872697940521, -0.022344334374075035,
+      0.0050463797236505355, 0.006914463439803214, 0.024831084817229267,
+      -0.06835945139003194, 0.00433596567088957, -0.03390559737041793,
+      -0.0231151135593726, -0.03421153819313405, 0.0058785418842480786,
+      -0.03870788591235553, 0.04303243183736571],
+     "a111d47444a47413683f13ea636be3bc2916a9e2bbbc6968a9b59ee5d8261795"),
     # 300 intervals of N = 512 fill the history block (128 rows) twice and part of a third;
     # its phases are pinned by the sha256 of their repr
-    (512, 1000, 1.0, 300, 43, None, 24387,
-     "836606c8e9a8e556975846783d58457ed66eb69c004d349dd0494657d56d7b86",
-     "c96df93fdbd9c30a163195f1bf6a9a35f173ff286b133f34b9d31fb09d8c9dda"),
+    (512, 1000, 1.0, 300, 43, None, 21204,
+     "fa21c8a2df3d4f9c9128d39b18e65829ba934f5b3124aec2a37c9ac78dce4e11",
+     "232cbe1c73baebcd16593631334c7658c49efd5e66afe8b7d68f4d70a1109a4c"),
 ]
 
 
 @pytest.mark.parametrize("n_beams, photons, drift_sqls, intervals, seed, init, "
-                         "clicks, phases, history_sha256", PINNED_LOCK_RUNS)
+                         "clicks, phases, history_sha256", PINNED_LOCK_RUNS,
+                         ids=[f"N{run[0]}-seed{run[4]}" for run in PINNED_LOCK_RUNS])
 def test_run_feedback_is_pinned(n_beams, photons, drift_sqls, intervals, seed, init,
                                 clicks, phases, history_sha256):
     drift_var = drift_sqls * sql_phase_variance(n_beams, photons) if drift_sqls else 0.0
@@ -211,14 +211,6 @@ def _cos_sin_is_exp(sigma):
     return unit.tobytes() == np.exp(1j * psi).tobytes()
 
 
-def _scalar_poisson_is_array_poisson(lam):
-    means = lam * np.linspace(0.5, 1.5, 9)
-    one, each = RngStream(5).generator(), RngStream(5).generator()
-    counts = one.poisson(means).tolist()
-    return ([each.poisson(m) for m in means.tolist()] == counts
-            and one.bit_generator.random_raw() == each.bit_generator.random_raw())
-
-
 def _block_variances_are_row_variances(n_beams):
     rows = max(1, phaselock._BLOCK // n_beams)  # a full block, as in run_feedback
     block = np.random.default_rng(n_beams).normal(0.01, 0.05, size=(rows, n_beams))
@@ -230,15 +222,61 @@ def _block_variances_are_row_variances(n_beams):
 
 
 # What run_feedback's byte-identity rests on: cos and sin written into a complex buffer are
-# exp(1j*psi); per-beam scalar Poisson draws are one array draw, counts and stream position;
-# a block's row variances are each row's own.  A numpy that breaks one fails here by name.
+# exp(1j*psi); a block's row variances are each row's own.  A numpy that breaks one fails here
+# by name.
 @pytest.mark.parametrize("premise, arg", [
     *((_cos_sin_is_exp, sigma) for sigma in (1e-3, 1.0, 1e3)),
-    *((_scalar_poisson_is_array_poisson, lam) for lam in (0.0, 1e-9, 3.2, 40.0)),
     *((_block_variances_are_row_variances, n) for n in (2, 3, 7, 8, 9, 16, 512)),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else repr(v))
 def test_lock_loop_premises(premise, arg):
     assert premise(arg)
+
+
+class _NoSplit:
+    """A generator whose multinomial fails, for draws that must not split their total."""
+
+    def __init__(self, gen):
+        self.poisson = gen.poisson
+
+    def multinomial(self, *args):
+        raise AssertionError("a split was drawn")
+
+
+@pytest.mark.parametrize("lam", [(0.0, 0.3, 1.2, 4.0, 9.5), (0.0, 2e6, 7.5e6, 3e9)],
+                         ids=["small", "large"])
+def test_a_split_total_is_independent_poisson_counts(lam):
+    # the loop's measurement draws the Poisson total and splits it only where it reads the
+    # counts; split, those are independent Poisson(lam_j) counts (Kingman's splitting law)
+    lam, draws = np.array(lam), 20_000
+    gen = RngStream(11).generator()
+    counts = np.zeros((draws, lam.size), dtype=np.int64)
+    for row in counts:
+        total, split = phaselock._clicks(gen, lam / 2, 2.0, lambda k: True)
+        if total:
+            assert split.sum() == total
+            row[:] = split
+    assert not counts[:, 0].any()  # a dark port never clicks
+    tol = 5 / np.sqrt(draws)
+    assert np.all(np.abs(counts.mean(axis=0) - lam) <= tol * np.sqrt(lam))
+    assert np.all(np.abs(counts.var(axis=0, ddof=1) - lam) <= tol * np.sqrt(lam + 2 * lam ** 2))
+    pairs = np.triu_indices(lam.size, 1)
+    cov = np.cov(counts, rowvar=False)[pairs]
+    assert np.all(np.abs(cov) <= tol * np.sqrt(np.outer(lam, lam)[pairs]))
+    # no light is a total of 0 and no split; nor is a split drawn that is not read
+    assert phaselock._clicks(_NoSplit(gen), np.zeros(4), 2.0, lambda k: True) == (0, None)
+    assert phaselock._clicks(_NoSplit(gen), lam, 1.0, lambda k: False)[1] is None
+
+
+@pytest.mark.parametrize("n_beams", [2, 4, 16, 64])
+def test_the_largest_admitted_photon_number_stays_in_poisson_range(n_beams):
+    # a measurement is one Poisson draw of mean 2n/3 * sum|eps|^2 <= 2nN/3, and an alternating
+    # +-pi/2 start sends all the light into the error ports
+    photons = 1.5 * phaselock._POISSON_MAX / max(4, n_beams)
+    cfg = FeedbackConfig(n_beams=n_beams, photons=photons, intervals=3)
+    with pytest.raises(ValueError, match="Poisson limit"):
+        FeedbackConfig(n_beams=n_beams, photons=np.nextafter(photons, np.inf), intervals=3)
+    init = np.where(np.arange(n_beams) % 2, -np.pi / 2, np.pi / 2)
+    assert run_feedback(cfg, RngStream(9), initial_phases=init).clicks_total >= 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -247,7 +285,7 @@ def test_lock_plan_point_is_pinned(workers):
     record = {"N": 3, "n": 10000, "init_spread": 0.05, "intervals": 60}
     result = run_plan(ExperimentPlan("lock", (record,), master_seed=5), workers=workers)
     assert result.points[0].measured == {
-        "steady_ratio": 2.3911995635633656, "final_var": 0.00011955997817816829, "clicks": 195}
+        "steady_ratio": 5.074826215452408, "final_var": 0.0002537413107726204, "clicks": 352}
 
 
 def test_history_is_one_float64_array():

@@ -12,7 +12,7 @@ from cbcnoise import predict_output, simulate_two_beam_clicks, two_beam_click_ra
 from cbcnoise import SmallAngleWarning, combine_port_amplitude, dft, error_photon_number
 from cbcnoise import error_signals, inverse_dft, run_plan, sample_coherent, simulate_amplifier
 from cbcnoise import simulate_cascade, simulate_cbc
-from cbcnoise import engine
+from cbcnoise import cli, engine
 from cbcnoise.amplifier import equal_stages
 from cbcnoise.cli import main
 from cbcnoise.engine import EXPERIMENTS
@@ -211,6 +211,17 @@ def test_gamma_rejects_a_law_variance_out_of_range(capsys, phase_var):
 def test_compare_rejects_one_beam(capsys):
     assert main(["compare", "--N-min", "1", "--N-max", "3"]) == 2
     assert "two beams" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_table_past_its_row_cap_before_building_a_row(monkeypatch, capsys):
+    # 10^7 beam counts at two xi would take about 20 GiB of rows
+    def no_row(*args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(cli, "xi_threshold", no_row)
+    assert main(["compare", "--N-max", "10000000", "--xi", "1,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --N-max 10000000 gives 19999998 rows")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
