@@ -5,7 +5,8 @@ Carlo experiment (directly from flags or from a plan file) and exits 1 when
 any grid point falls outside the statistical acceptance band, so scripted
 checks can rely on the exit code.  ``compare`` tabulates combined-beam
 phase noise against a single quantum-limited amplifier of gain N over a
-range of beam counts.
+range of beam counts.  Their point flags are the keys and options of
+``engine.EXPERIMENTS``, named as in plans with - for _, such as ``--n-cl``.
 
 Output goes to stdout as a readable table and, with ``--out``, to CSV or
 JSON.  CSV files start with ``#`` comment lines naming the units of every
@@ -23,8 +24,8 @@ import sys
 
 from .coherent import VAR_COH
 from .combining import CbcConfig, predict_output, xi_threshold
-from .amplifier import KINDS, _gain_spec, predict_chain
-from .engine import EXPERIMENTS, ExperimentPlan, _number, _parse_scalar, load_plan, run_plan
+from .amplifier import _gain_spec, predict_chain
+from .engine import COUNTS, EXPERIMENTS, ExperimentPlan, _number, _parse_scalar, load_plan, run_plan
 
 # Unit of every column the commands write, and of every quantity named
 # after a measured_, predicted_ or se_ prefix; each text is written once.
@@ -149,12 +150,15 @@ def cmd_predict(args) -> tuple:
 # simulate
 
 
+def _flag(key: str) -> str:  # -N, --phase-var
+    return ("-" if len(key) == 1 else "--") + key.replace("_", "-")
+
+
 def _record(name: str, args, verb: str) -> dict:
     """Grid record of experiment ``name`` from the flags named like its keys and options."""
     experiment = EXPERIMENTS[name]
     if any(getattr(args, key) is None for key in experiment.keys):
-        flags = (("-" if len(key) == 1 else "--") + key.replace("_", "-") for key in experiment.keys)
-        raise ValueError(f"{name} {verb} needs {' and '.join(flags)}")
+        raise ValueError(f"{name} {verb} needs {' and '.join(map(_flag, experiment.keys))}")
     return {key: getattr(args, key) for key in (*experiment.keys, *experiment.options)
             if getattr(args, key, None) is not None}
 
@@ -237,6 +241,24 @@ def cmd_compare(args) -> tuple:
 # parser
 
 
+def _add_grid_flags(parser, rows):
+    """Add the flags of ``rows``, experiment -> keys (None: all keys and options), one per key:
+    its help quotes each row, and its default, choices and type come from the first row."""
+    flags = {}
+    for name, keys in rows.items():
+        row = EXPERIMENTS[name]
+        for key in keys or (*row.keys, *row.options):
+            text = f"{name}: {row.help[key]}"
+            if key in flags:
+                flags[key].help += "; " + text
+                continue
+            default = row.options.get(key)  # None writes no column
+            flags[key] = parser.add_argument(
+                _flag(key), default=default, choices=row.choices.get(key),
+                type=None if key in row.choices else _parse_scalar if key in COUNTS else float,
+                help=text if default is None else text + " (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbcnoise",
@@ -245,15 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_point(p, beams_help, gain_help):
-        p.add_argument("-N", type=_parse_scalar, help=beams_help)
-        p.add_argument("-n", type=float, help="photons per beam")
-        p.add_argument("--xi", type=float, default=EXPERIMENTS["cbc"].options["xi"],
-                       help="phase accuracy factor in quantum-limit units (default %(default)s)")
-        p.add_argument("--phase-var", type=float, dest="phase_var",
-                       help="phase variance in rad^2 (overrides --xi)")
-        p.add_argument("-G", type=float, help=gain_help)
-
     def add_common(p):
         p.add_argument("--out", help="write records to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -261,30 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="evaluate the closed forms")
     p_predict.add_argument("--cbc", action="store_true", help="combined-beam prediction")
-    p_predict.add_argument("--amp", action="store_true", help="single-amplifier prediction")
+    p_predict.add_argument("--amp", action="store_true", help="amplifier prediction (G defaults to N)")
     p_predict.add_argument("--threshold", action="store_true", help="break-even accuracy factor")
-    add_point(p_predict, "number of beams", "amplifier intensity gain (default N)")
+    _add_grid_flags(p_predict, {"cbc": None, "amp": ("G",)})
     add_common(p_predict)
     p_predict.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("experiment", nargs="?", choices=tuple(EXPERIMENTS))
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
-    add_point(p_sim, "number of beams (or gamma terms)", "amplifier intensity gain")
-    p_sim.add_argument("--stages", type=_parse_scalar, default=EXPERIMENTS["cascade"].options["stages"],
-                       help="cascade stage count (default %(default)s)")
-    p_sim.add_argument("--kind", choices=KINDS, default=EXPERIMENTS["amp"].options["kind"],
-                       help="amplifier model (default %(default)s)")
-    lock = EXPERIMENTS["lock"].options
-    p_sim.add_argument("--drift-var", type=float, dest="drift_var", default=lock["drift_var"],
-                       help="lock: per-interval phase drift variance in rad^2")
-    p_sim.add_argument("--gain", type=float, default=lock["gain"],
-                       help="lock: controller gain")
-    p_sim.add_argument("--intervals", type=_parse_scalar, default=lock["intervals"],
-                       help="lock: correction intervals")
-    p_sim.add_argument("--init-spread", type=float, dest="init_spread",
-                       default=lock["init_spread"],
-                       help="lock: initial alternating phase offset in rad")
+    _add_grid_flags(p_sim, dict.fromkeys(EXPERIMENTS))
     p_sim.add_argument("--trials", type=_parse_scalar, default=ExperimentPlan.trials,
                        help="Monte Carlo trials per point, unused by lock (default %(default)s)")
     p_sim.add_argument("--seed", type=_parse_scalar, default=ExperimentPlan.master_seed,

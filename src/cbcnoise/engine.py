@@ -173,6 +173,8 @@ class Experiment(NamedTuple):
     config: Callable  # grid record completed with the defaults -> configuration
     jobs: Callable  # (config, trials, stream) -> list of zero-argument jobs
     score: Callable  # (config, output, k) -> PointResult fields after config
+    help: dict  # each key and option -> what it sets, in its unit
+    choices: dict = {}  # each text option -> the values it takes; any other value is a number
 
 
 def _chunked(factory):
@@ -206,7 +208,8 @@ def _cbc_predicted(config):
 
 
 def _amp_config(record):
-    return record["G"], [amp_mod._gain_spec(record["G"], str(record["kind"]), record["n_cl"])]
+    n_cl = record["n_cl"] or 0.0  # a record without n_cl has no excess
+    return record["G"], [amp_mod._gain_spec(record["G"], str(record["kind"]), n_cl)]
 
 
 def _cascade_config(record):
@@ -256,22 +259,33 @@ def _lock_jobs(lock, trials, stream):
 
 
 _chain = (_chunked(amp_mod.chain_kernel), functools.partial(_score_stats, amp_mod.predict_chain))
+COUNTS = ("N", "stages", "intervals")  # grid keys flags read as plan lines: -N 4.0 stays 4.0
+_BEAMS = {"N": "number of beams", "n": "photons per beam"}
 
 EXPERIMENTS = {
     "cbc": Experiment(("N", "n"), {"phase_var": None, "xi": 1.0}, _cbc_config,
                       _chunked(cbc_mod.cbc_kernel),
-                      functools.partial(_score_stats, _cbc_predicted)),
-    "amp": Experiment(("G",), {"kind": amp_mod.AmplifierSpec.kind,
-                               "n_cl": amp_mod.AmplifierSpec.n_cl},
-                      _amp_config, *_chain),
-    "cascade": Experiment(("G",), {"stages": 1}, _cascade_config, *_chain),
+                      functools.partial(_score_stats, _cbc_predicted),
+                      {**_BEAMS, "phase_var": "phase variance in rad^2, overriding xi",
+                       "xi": "phase accuracy factor in quantum-limit units"}),
+    "amp": Experiment(("G",), {"kind": amp_mod.AmplifierSpec.kind, "n_cl": None},
+                      _amp_config, *_chain, {"G": "intensity gain", "kind": "amplifier model",
+                                             "n_cl": "input-referred classical excess in photons"},
+                      {"kind": amp_mod.KINDS}),
+    "cascade": Experiment(("G",), {"stages": 1}, _cascade_config, *_chain,
+                          {"G": "total intensity gain", "stages": "number of equal stages"}),
     "lock": Experiment(("N", "n"), {"drift_var": lock_mod.FeedbackConfig.drift_var,
                                     "gain": lock_mod.FeedbackConfig.controller_gain,
                                     "intervals": lock_mod.FeedbackConfig.intervals,
                                     "init_spread": 0.0},
-                       _lock_config, _lock_jobs, _lock_score),
+                       _lock_config, _lock_jobs, _lock_score,
+                       {**_BEAMS, "drift_var": "per-interval phase drift variance in rad^2",
+                        "gain": "controller gain", "intervals": "correction intervals",
+                        "init_spread": "initial alternating phase offset in rad"}),
     "gamma": Experiment(("N", "phase_var"), {}, lambda r: (r["N"], r["phase_var"]),
-                        _chunked(lambda c, t: cbc_mod.gamma_sum_kernel(*c, t)), _gamma_score),
+                        _chunked(lambda c, t: cbc_mod.gamma_sum_kernel(*c, t)), _gamma_score,
+                        {"N": "number of squared phases summed",
+                         "phase_var": "variance of each phase in rad^2"}),
 }
 
 
@@ -286,10 +300,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
         raise ValueError(f"workers must be at least 1, got {workers}")
     experiment = EXPERIMENTS[plan.experiment]
     base = RngStream(plan.master_seed)
-    texts = {key for key, default in experiment.options.items() if isinstance(default, str)}
     # an option a record leaves out takes its default, and each value but None or text is a number
-    configs = [experiment.config({key: v if v is None or key in texts else _number(key, v)
-                                  for key, v in {**experiment.options, **record}.items()})
+    configs = [experiment.config({k: v if v is None or k in experiment.choices else _number(k, v)
+                                  for k, v in {**experiment.options, **record}.items()})
                for record in plan.grid]
     point_jobs = [experiment.jobs(config, plan.trials, base.substream(p_idx))
                   for p_idx, config in enumerate(configs)]

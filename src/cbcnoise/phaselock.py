@@ -102,7 +102,7 @@ class FeedbackConfig:
             raise ValueError("controller gain must be in (0, 1]")
         if self.intervals < 1:
             raise ValueError("need at least one interval")
-        if self.photons * max(4, self.n_beams) > 1.5 * _POISSON_MAX:  # one draw, mean <= 2nN/3
+        if self.photons * self.n_beams > 1.5 * _POISSON_MAX:  # one draw, of mean <= 2nN/3
             raise ValueError(f"n {self.photons!r} may put a click mean past numpy's Poisson limit")
         if not _spread_fits(self, 0.0):
             raise ValueError(f"drift_var {self.drift_var!r} may overflow Var(psi)/SQL")

@@ -221,14 +221,24 @@ def test_simulate_lock_default_gain_matches_library(tmp_path):
 
 
 def test_simulate_choices_are_the_experiment_table():
-    from cbcnoise.cli import build_parser
+    # every key and option of every row is a flag, spelled as in plans with _ as -, taking the
+    # table's default and, for a text option, its choices; counts parse as plan lines, as ints
     from cbcnoise.engine import EXPERIMENTS
 
-    parser = build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command")
-    simulate = sub.choices["simulate"]
-    experiment = next(a for a in simulate._actions if a.dest == "experiment")
-    assert tuple(experiment.choices) == tuple(EXPERIMENTS)
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in sub.choices["simulate"]._actions}
+    assert tuple(actions["experiment"].choices) == tuple(EXPERIMENTS)
+    fields = [(row, key) for row in EXPERIMENTS.values() for key in (*row.keys, *row.options)]
+    assert {key for _, key in fields} <= set(actions)
+    for row, key in fields:
+        action = actions[key]
+        assert action.option_strings == [("-" if len(key) == 1 else "--") + key.replace("_", "-")]
+        assert action.default == row.options.get(key)
+        if isinstance(action.default, str):
+            assert tuple(action.choices) == tuple(row.choices[key])
+        else:
+            parsed = action.type("3")
+            assert type(parsed) is (int if key in ("N", "stages", "intervals") else float)
 
 
 def test_simulate_rejects_nan_xi(capsys):
@@ -275,10 +285,11 @@ def test_plan_unknown_grid_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("plan_text,flags", [
     ("experiment = cbc\ngrid.N = 2\ngrid.n = 1000\n", ["cbc", "-N", "2", "-n", "1000"]),
     ("experiment = cascade\ngrid.G = 16\n", ["cascade", "-G", "16"]),
-], ids=["cbc-without-xi", "cascade-without-stages"])
+    ("experiment = amp\ngrid.G = 4\ngrid.n_cl = 1\n", ["amp", "-G", "4", "--n-cl", "1"]),
+], ids=["cbc-without-xi", "cascade-without-stages", "amp-without-kind"])
 def test_plan_without_options_runs_as_the_flags(tmp_path, plan_text, flags):
-    # the plan leaves out cbc's xi or cascade's stages; both take the
-    # defaults the flags take
+    # the plan leaves out cbc's xi, cascade's stages or amp's kind; each takes the
+    # default the flags take, and amp's n_cl runs as its flag does
     common = ["--trials", "20000", "--seed", "4", "--format", "json"]
     path = write_plan(tmp_path, plan_text + "trials = 20000\nseed = 4\n")
     plan_out, flag_out = tmp_path / "plan.json", tmp_path / "flags.json"
@@ -289,6 +300,15 @@ def test_plan_without_options_runs_as_the_flags(tmp_path, plan_text, flags):
     measured = [k for k in flag_rec if k.startswith(("measured_", "predicted_", "se_", "z_"))]
     assert measured
     assert {k: plan_rec[k] for k in measured} == {k: flag_rec[k] for k in measured}
+
+
+def test_amp_without_n_cl_writes_no_n_cl_column(tmp_path):
+    # a flag whose table default is None writes no column when it is not given
+    out = tmp_path / "amp.csv"
+    assert main(["simulate", "amp", "-G", "4", "--trials", "2000", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert list(rows[0])[:6] == ["experiment", "seed", "trials", "tolerance_k", "G", "kind"]
+    assert "n_cl" not in rows[0]
 
 
 def test_a_whole_float_count_flag_runs_as_the_int(tmp_path):

@@ -267,11 +267,11 @@ def test_a_split_total_is_independent_poisson_counts(lam):
     assert phaselock._clicks(_NoSplit(gen), lam, 1.0, lambda k: False)[1] is None
 
 
-@pytest.mark.parametrize("n_beams", [2, 4, 16, 64])
+@pytest.mark.parametrize("n_beams", [2, 3, 4, 16, 64])
 def test_the_largest_admitted_photon_number_stays_in_poisson_range(n_beams):
-    # a measurement is one Poisson draw of mean 2n/3 * sum|eps|^2 <= 2nN/3, and an alternating
-    # +-pi/2 start sends all the light into the error ports
-    photons = 1.5 * phaselock._POISSON_MAX / max(4, n_beams)
+    # a measurement is one Poisson draw of mean 2n/3 * sum|eps|^2 <= 2nN/3, so n may reach
+    # 1.5 * _POISSON_MAX / N; an alternating +-pi/2 start sends all the light into the error ports
+    photons = 1.5 * phaselock._POISSON_MAX / n_beams
     cfg = FeedbackConfig(n_beams=n_beams, photons=photons, intervals=3)
     with pytest.raises(ValueError, match="Poisson limit"):
         FeedbackConfig(n_beams=n_beams, photons=np.nextafter(photons, np.inf), intervals=3)

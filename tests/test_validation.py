@@ -547,7 +547,7 @@ def test_a_lock_or_cbc_input_past_its_range_draws_nothing(monkeypatch, make, mes
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "lock", "-N", "2", "-n", "1e20", "--init-spread", "1"], "n 1e+20 "),
     (["simulate", "lock", "-N", "2", "-n", "1e19", "--drift-var", "1e-3"], "n 1e+19 "),
-    # each port's mean fits numpy's Poisson limit, but their int64 sum over 16 ports would wrap
+    # the one draw of a measurement may have a mean of 2nN/3 = 3.2e19, past numpy's Poisson limit
     (["simulate", "lock", "-N", "16", "-n", "3e18", "--init-spread", "1.5707963"], "n 3e+18 "),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--init-spread", "1e153"], "initial phases"),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--drift-var", "1e306"], "drift_var 1e+306 "),
@@ -567,9 +567,10 @@ def test_a_lock_or_cbc_input_past_its_range_is_a_usage_error(monkeypatch, capsys
 
 @pytest.mark.parametrize("argv, status", [
     (["simulate", "lock", "-N", "2", "-n", "3e18", "--init-spread", "1"], 1),
+    (["simulate", "lock", "-N", "2", "-n", "6e18", "--init-spread", "1"], 1),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--init-spread", "1e152"], 1),
     (["simulate", "lock", "-N", "2", "-n", "1000", "--drift-var", "1e290"], 0),
-], ids=["n", "init-spread", "drift_var"])
+], ids=["n", "n-one-draw", "init-spread", "drift_var"])
 def test_a_lock_near_its_range_still_runs(tmp_path, argv, status):
     # the loop runs to the end and reports a finite Var(psi)/SQL, failed or not
     out = tmp_path / "lock.json"

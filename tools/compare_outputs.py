@@ -3,9 +3,9 @@
     python tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Runs each command with PYTHONPATH=<tree>/src in one temporary directory per tree, writing csv
-and json ``--out`` files, and each demo once.  Prints one line per run whose outputs differ,
-naming the fields (--out file, stdout, stderr with the tree's path masked, exit code) and the
-command, and exits 1 if any run differs, 2 on bad arguments.
+and json ``--out`` files, then each subcommand's ``--help`` and each demo once.  Prints one line
+per run whose outputs differ, naming the fields (--out file, stdout, stderr with the tree's path
+masked, exit code) and the command, and exits 1 if any run differs, 2 on bad arguments.
 """
 
 import os
@@ -39,12 +39,15 @@ COMMANDS = [
     "simulate lock -N 2 -n 1e20 --init-spread 1 --intervals 3",
     "simulate lock -N 2 -n 1000 --init-spread 1e153 --intervals 3",
     "predict --cbc -N 2 -n 100 --phase-var 1e200",
+    "simulate amp -G 4 --n-cl 1 --trials 50000 --seed 3",
     *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
 ]
+HELPS = ("predict", "simulate", "compare")
 DEMOS = ("amplifier_noise_penalty", "cbc_vs_amplifier", "combining_noise_scaling",
          "phase_lock_feedback", "quantum_noise_basics")
 RUNS = [(["-m", "cbcnoise.cli", *cmd.split(), *fmt], fmt[-1]) for cmd in COMMANDS
         for fmt in (["--out", "out.csv"], ["--format", "json", "--out", "out.json"])]
+RUNS += [(["-m", "cbcnoise.cli", command, "--help"], None) for command in HELPS]
 RUNS += [([os.path.join("{tree}", "demos", f"{demo}.py")], None) for demo in DEMOS]
 
 
@@ -79,7 +82,8 @@ def main() -> int:
                 differing += 1
                 print(f"differs: {', '.join(fields)} of {' '.join(argv)}")
     print(f"{len(RUNS) - differing} of {len(RUNS)} runs matched in --out, stdout, stderr and exit "
-          f"code ({len(COMMANDS)} commands in csv and json, {len(DEMOS)} demos)")
+          f"code ({len(COMMANDS)} commands in csv and json, {len(HELPS)} help texts, "
+          f"{len(DEMOS)} demos)")
     return 1 if differing else 0
 
 
