@@ -6,7 +6,8 @@ any grid point falls outside the statistical acceptance band, so scripted
 checks can rely on the exit code.  ``compare`` tabulates combined-beam
 phase noise against a single quantum-limited amplifier of gain N over a
 range of beam counts.  Their point flags are the keys and options of
-``engine.EXPERIMENTS``, named as in plans with - for _, such as ``--n-cl``.
+``engine.EXPERIMENTS``, named as in plans with - for _, such as ``--n-cl``;
+``simulate`` takes only the named experiment's, and none with a plan.
 
 Output goes to stdout as a readable table and, with ``--out``, to CSV or
 JSON.  CSV files start with ``#`` comment lines naming the units of every
@@ -182,15 +183,21 @@ def _simulate_records(result) -> list:
 
 
 def cmd_simulate(args) -> tuple:
-    if args.plan:
-        plan = load_plan(args.plan)
-        if args.experiment is not None:
-            raise ValueError("give either an experiment name or --plan, not both")
-    else:
-        if args.experiment is None:
-            raise ValueError("name an experiment or give --plan")
-        plan = ExperimentPlan(args.experiment, (_record(args.experiment, args, "simulation"),),
-                              args.trials, args.seed, args.tolerance_k)
+    if args.plan and args.experiment is not None:
+        raise ValueError("give either an experiment name or --plan, not both")
+    if not args.plan and args.experiment is None:
+        raise ValueError("name an experiment or give --plan")
+    own = EXPERIMENTS.get(args.experiment)  # a plan (None here) takes no point flags
+    allowed = (*own.keys, *own.options) if own else ()
+    # a flag at its table default counts as not given, and so does None: --phase-var unsets xi
+    stray = dict.fromkeys(_flag(key) for row in EXPERIMENTS.values()
+                          for key in (*row.keys, *row.options) if key not in allowed
+                          and getattr(args, key) not in (None, row.options.get(key)))
+    if stray:
+        raise ValueError(f"{args.experiment or '--plan'} takes no {', '.join(stray)}")
+    plan = load_plan(args.plan) if args.plan else ExperimentPlan(
+        args.experiment, (_record(args.experiment, args, "simulation"),),
+        args.trials, args.seed, args.tolerance_k)
     result = run_plan(plan, workers=args.workers)
     records = _simulate_records(result)
     _print_table(records)

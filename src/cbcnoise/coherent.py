@@ -39,7 +39,6 @@ _SIGMA_COH = 0.5
 _CHUNK_BUDGET = 1 << 21
 _CHUNK_MAX = 1 << 16
 _BLOCK = 1 << 16  # elements per ``_box_muller_blocks`` block, in rows of ``width``
-_SEGMENT = 1 << 14  # samples per ``gaussian_field`` segment
 _HIGH = int(sys.byteorder == "little")  # where a raw word's high half sits in its uint32 view
 
 
@@ -125,7 +124,8 @@ def _box_muller_blocks(gen: np.random.Generator, sigma: float, rows: int, width:
     |normal| <= sqrt(64 ln 2)*sigma ~ 6.66 sigma."""
     half, step = (width + 1) // 2, max(1, _BLOCK // width)
     # the angles have their own buffer: numpy's float32 sin and cos go element by element when
-    # input and output interleave in memory, as the halves of rows of width 2 would
+    # input and output interleave in memory, as the halves of rows of width 2 would; those
+    # halves, gaussian_field's x and p, are outputs only
     r, angle, buf = (np.empty((min(step, rows), size), np.float32) for size in (half, half, width))
     for start in range(0, rows, step):
         block, rb, ab = buf[:rows - start], r[:rows - start], angle[:rows - start]  # may be short
@@ -141,24 +141,17 @@ def gaussian_field(mean, gen: np.random.Generator, sigma=_SIGMA_COH, shape=None)
     """``mean`` plus complex Gaussian noise of per-quadrature deviation ``sigma``.
 
     The package's one field draw, of ``mean``'s shape broadcast with ``shape`` (default: the
-    mean's own).  Sample j of the flattened field reads raw Philox word j: its x and p gain sigma
-    times the float32 r*cos(angle) and r*sin(angle) of the word's ``_radius_angle``, in float64,
-    so any finite sigma stays in range.  Segments of _SEGMENT samples reuse one set of buffers.
+    mean's own).  Sample j of the flattened field is row j of a width-2 ``_box_muller_blocks``
+    draw, so it reads raw Philox word j: its x and p are sigma times the float32 r*cos(angle)
+    and r*sin(angle), taken in float64 so any finite sigma stays in range, plus the mean.
     """
     shape = np.shape(mean) if shape is None else shape
     field = np.empty(np.broadcast_shapes(np.shape(mean), shape), complex)
-    field[...] = mean  # copied once; each segment's x and p are added in place
-    flat = field.reshape(-1)
-    r, cos, sin = (np.empty(min(flat.size, _SEGMENT), np.float32) for _ in range(3))
-    noise = np.empty(len(r))
-    for start in range(0, flat.size, _SEGMENT):
-        n = min(_SEGMENT, flat.size - start)  # the last segment may be short
-        rn, cn, sn = r[:n], cos[:n], sin[:n]
-        _radius_angle(gen.bit_generator.random_raw(n).view(np.uint32), rn, sn)
-        np.multiply(np.cos(sn, out=cn), rn, out=cn)
-        np.multiply(np.sin(sn, out=sn), rn, out=sn)
-        for part, unit in ((flat.real, cn), (flat.imag, sn)):
-            part[start:start + n] += np.multiply(unit, sigma, out=noise[:n], dtype=np.float64)
+    xp = field.reshape(-1).view(float).reshape(-1, 2)  # row j: sample j's (x, p)
+    for z in _box_muller_blocks(gen, 1.0, len(xp), 2):
+        np.multiply(z, sigma, out=xp[:len(z)], dtype=np.float64)
+        xp = xp[len(z):]  # the rows still to fill
+    field += mean  # IEEE addition commutes: the bits of the mean plus the noise
     return field
 
 
@@ -203,20 +196,25 @@ class QuadratureStats:
         return self.var_p * math.sqrt(2.0 / (self.trials - 1))
 
 
+def _row_moments(block: np.ndarray) -> tuple:
+    """(means, unbiased variances) of the rows of a C-ordered float64 ``block``, in place (the
+    block is spent): bit for bit each row's ``np.mean(row)`` and ``np.var(row, ddof=1)``, as
+    numpy sums a row of a C-ordered block pairwise like a lone one."""
+    n = block.shape[1]
+    means = block.sum(axis=1) / n
+    block -= means[:, None]
+    block *= block
+    return means, block.sum(axis=1) / (n - 1)
+
+
 def estimate_stats(samples) -> QuadratureStats:
     """Estimate QuadratureStats from an ensemble of complex field samples."""
-    a = np.asarray(samples, dtype=complex).ravel()
+    a = np.asarray(samples).ravel()
     n = a.size
     if n < 2:
         raise ValueError("insufficient data: need at least 2 samples")
-    buf = np.empty(n)
-    moments = []
-    for col in (a.real, a.imag):  # np.mean and np.var(ddof=1), bit for bit, in one buffer
-        mean = col.sum() / n
-        np.square(np.subtract(col, mean, out=buf), out=buf)
-        moments += [float(mean), float(buf.sum() / (n - 1))]
-    mean_x, var_x, mean_p, var_p = moments
-    return QuadratureStats(mean_x, mean_p, var_x, var_p, n)
+    (mean_x, mean_p), (var_x, var_p) = _row_moments(np.array([a.real, a.imag], float))
+    return QuadratureStats(float(mean_x), float(mean_p), float(var_x), float(var_p), n)
 
 
 def merge_stats(a: QuadratureStats, b: QuadratureStats) -> QuadratureStats:

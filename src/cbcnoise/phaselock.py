@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import _BLOCK, RngStream, _finite, _scalar, _whole, run_chunks
+from .coherent import _BLOCK, RngStream, _finite, _row_moments, _scalar, _whole, run_chunks
 from .combining import error_signals, sql_phase_variance
 
 # Fraction of each interval's photons spent on the first (probe) measurement;
@@ -131,16 +131,6 @@ class LockState:
         return float(tail.mean() / sql)
 
 
-def _row_variances(block: np.ndarray) -> np.ndarray:
-    """Unbiased variance of each row of ``block``, in place (the block is spent): bit for bit
-    each row's own ``d = row - row.sum() / N; (d * d).sum() / (N - 1)``, as numpy sums a row of
-    a C-ordered block pairwise like a lone one."""
-    n = block.shape[1]
-    block -= (block.sum(axis=1) / n)[:, None]
-    block *= block
-    return block.sum(axis=1) / (n - 1)
-
-
 def _clicks(gen, power: np.ndarray, budget: float, read) -> tuple:
     """(total, counts or None) of Poisson clicks at means budget * power: one draw of the total,
     split in power / power.sum() by a multinomial only if ``read(total)`` and the total is not 0.
@@ -164,9 +154,9 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
     when the total is at least _MIN_CLICKS, then, when some beam is active, the verify total and
     its split when the total is high enough for some beam to be worse.  A measurement is one
     ``error_signals`` call on exp(1j*psi), its cos and sin written into one reused complex
-    buffer, and ``_clicks`` of the click means budget * |eps|^2.  The variances are
-    taken a block of intervals at a time (``_row_variances``), bit for bit the per-interval ones,
-    and the block arrays are joined once at the end, so memory grows with completed intervals.
+    buffer, and ``_clicks`` of the click means budget * |eps|^2.  ``_row_moments`` takes the
+    variances a block of intervals at a time, bit for bit the per-interval ones, and the block
+    arrays are joined once at the end, so memory grows with completed intervals.
     """
     n_beams = config.n_beams
     if initial_phases is None:
@@ -220,5 +210,5 @@ def run_feedback(config: FeedbackConfig, rng: RngStream, initial_phases=None) ->
         row = t % rows
         block[row] = phases
         if row == rows - 1 or t == config.intervals - 1:
-            history.append(_row_variances(block[:row + 1]))
+            history.append(_row_moments(block[:row + 1])[1])
     return LockState(phases=phases, clicks_total=clicks_total, history=np.concatenate(history))

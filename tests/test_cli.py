@@ -311,6 +311,33 @@ def test_amp_without_n_cl_writes_no_n_cl_column(tmp_path):
     assert "n_cl" not in rows[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cbc", "-N", "2", "-n", "100", "--stages", "4", "--n-cl", "3"],
+     "cbc takes no --n-cl, --stages"),
+    (["lock", "-N", "2", "-n", "100", "--phase-var", "0.1"], "lock takes no --phase-var"),
+    (["gamma", "-N", "8", "--phase-var", "0.01", "--kind", "phase_sensitive"],
+     "gamma takes no --kind"),
+    (["--plan", "{plan}", "-N", "8"], "--plan takes no -N"),
+    (["--plan", "{plan}", "--xi", "2", "--drift-var", "0.1"], "--plan takes no --xi, --drift-var"),
+    (["--plan", "{plan}", "--phase-var", "0.01"], "--plan takes no --phase-var"),
+], ids=["cbc-stages-n-cl", "lock-phase-var", "gamma-kind", "plan-N", "plan-xi-drift-var",
+        "plan-phase-var"])
+def test_simulate_rejects_point_flags_it_does_not_take(tmp_path, capsys, argv, message):
+    # an experiment takes its own keys and options, a plan none; each stray flag is named
+    plan = write_plan(tmp_path, "experiment = cbc\ngrid.N = 2\ngrid.n = 100\n")
+    argv = ["simulate", *(arg.format(plan=plan) for arg in argv), "--trials", "1000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_phase_var_unsets_xi_without_making_it_stray(tmp_path):
+    # --phase-var sets xi to None, which gamma does not take; the run goes ahead
+    out = tmp_path / "gamma.csv"
+    assert main(["simulate", "gamma", "-N", "8", "--phase-var", "0.01", "--trials", "2000",
+                 "--out", str(out)]) == 0
+    assert "xi" not in read_csv(out)[1][0]
+
+
 def test_a_whole_float_count_flag_runs_as_the_int(tmp_path):
     # -N reads as a plan line does: 4.0 is the count 4, printed as spelled
     records = []

@@ -76,9 +76,9 @@ def _field_by_hand(gen, mean, sigma, shape):
 
 
 def test_gaussian_field_reads_one_word_per_sample(monkeypatch):
-    # 3-sample segments split the 8 samples 3 + 3 + 2; sigma 1e200 is beyond float32
-    for segment in (3, coherent._SEGMENT):
-        monkeypatch.setattr(coherent, "_SEGMENT", segment)
+    # 6-element blocks of width-2 rows split the 8 samples 3 + 3 + 2; sigma 1e200 is beyond float32
+    for block in (6, coherent._BLOCK):
+        monkeypatch.setattr(coherent, "_BLOCK", block)
         for sigma in (3.0, 1e200):
             gen, ref = RngStream(9).generator(), RngStream(9).generator()
             z = gaussian_field(1.5 - 2j, gen, sigma, (2, 4))
@@ -86,6 +86,23 @@ def test_gaussian_field_reads_one_word_per_sample(monkeypatch):
             assert np.array_equal(gen.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
     # the shape defaults to the mean's
     assert gaussian_field(np.zeros(5), gen).shape == (5,)
+
+
+@pytest.mark.parametrize("mean, shape", [
+    (0.0, (2, 4)),
+    (-0.0, (2, 4)),
+    (np.linspace(-1, 1, 8, dtype=np.float32).reshape(2, 4), None),
+    (np.arange(-4, 4).reshape(2, 4), None),
+    (np.array([[1.5 - 2j], [-0.0 + 3j]]), (2, 3)),
+    (math.inf, (2, 4)),
+    (math.nan, (2, 4)),
+], ids=["zero", "negative-zero", "float32", "int", "broadcast-complex", "inf", "nan"])
+def test_gaussian_field_adds_the_mean_to_the_noise(mean, shape):
+    # the noise is drawn first and the mean added after; IEEE addition commutes, so the bytes
+    # are those of the noise added to the mean, signed zeros, inf and nan included
+    gen, ref = RngStream(9).generator(), RngStream(9).generator()
+    z = gaussian_field(mean, gen, 3.0, shape)
+    assert z.tobytes() == _field_by_hand(ref, mean, 3.0, z.shape).tobytes()
 
 
 def test_gaussian_field_is_normal():

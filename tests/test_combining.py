@@ -297,8 +297,8 @@ def _traced_peak(draw):
 
 def test_cbc_chunk_memory_is_bounded():
     # a full chunk holds 65536 trials; 3 MiB holds the sums x and p, the port and
-    # gaussian_field's segment buffers (2.47 MiB), not those with the float32 phase
-    # block and its cosines kept beside them (3.0 MiB at N = 2 and 32)
+    # gaussian_field's block buffers (2.79 MiB), not those with the float32 phase
+    # block and its cosines kept beside them (3.29 MiB at N = 2 and 32)
     for n_beams in (2, 32):
         cfg = CbcConfig(n_beams=n_beams, photons=1000.0, xi=5.0)
         gen = RngStream(3).generator()
@@ -317,8 +317,8 @@ def test_gamma_chunk_memory_is_bounded():
 
 
 def test_amp_chunk_memory_is_bounded():
-    # measure_prepare nests two gaussian_field draws about a scaled field; each copies
-    # its mean once and adds the noise in place (3.47 MiB), no sum temporaries (4.6 MiB);
+    # measure_prepare nests two gaussian_field draws about a scaled field; each adds its
+    # mean once to the noise in place (3.79 MiB), not into a fresh sum array (4.25 MiB);
     # quantum_limited scales its idler in place (3.0 MiB, 4.0 with a conjugated copy and
     # g*a beside it), and phase_sensitive writes x and p into one array (2.0 MiB, 2.63)
     for kind in KINDS:

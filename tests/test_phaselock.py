@@ -15,7 +15,7 @@ from cbcnoise import (
     sql_phase_variance,
     two_beam_click_rate,
 )
-from cbcnoise import phaselock
+from cbcnoise import coherent, phaselock
 from cbcnoise.engine import EXPERIMENTS, ExperimentPlan, _lock_config, run_plan
 from cbcnoise.phaselock import LockState
 
@@ -218,7 +218,7 @@ def _block_variances_are_row_variances(n_beams):
     for phases in block:
         d = phases - phases.sum() / n_beams
         expected.append(float((d * d).sum() / (n_beams - 1)))
-    return phaselock._row_variances(block).tolist() == expected
+    return coherent._row_moments(block)[1].tolist() == expected
 
 
 # What run_feedback's byte-identity rests on: cos and sin written into a complex buffer are

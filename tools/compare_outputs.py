@@ -40,6 +40,8 @@ COMMANDS = [
     "simulate lock -N 2 -n 1000 --init-spread 1e153 --intervals 3",
     "predict --cbc -N 2 -n 100 --phase-var 1e200",
     "simulate amp -G 4 --n-cl 1 --trials 50000 --seed 3",
+    "simulate cbc -N 2 -n 100 --stages 4 --n-cl 3 --trials 1000",  # stray flags: exit 2
+    "simulate --plan plan_cbc.txt -N 8",  # a plan takes no point flags: exit 2
     *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
 ]
 HELPS = ("predict", "simulate", "compare")
