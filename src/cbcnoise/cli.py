@@ -6,8 +6,9 @@ any grid point falls outside the statistical acceptance band, so scripted
 checks can rely on the exit code.  ``compare`` tabulates combined-beam
 phase noise against a single quantum-limited amplifier of gain N over a
 range of beam counts.  Their point flags are the keys and options of
-``engine.EXPERIMENTS``, named as in plans with - for _, such as ``--n-cl``;
-``simulate`` takes only the named experiment's, and none with a plan.
+``engine.EXPERIMENTS``, named as in plans with - for _, such as ``--n-cl``.
+A flag counts when typed, an untyped option takes its experiment's default,
+and ``simulate`` and ``predict`` refuse typed flags they do not read.
 
 Output goes to stdout as a readable table and, with ``--out``, to CSV or
 JSON.  CSV files start with ``#`` comment lines naming the units of every
@@ -26,7 +27,8 @@ import sys
 from .coherent import VAR_COH
 from .combining import CbcConfig, predict_output, xi_threshold
 from .amplifier import _gain_spec, predict_chain
-from .engine import COUNTS, EXPERIMENTS, ExperimentPlan, _number, _parse_scalar, load_plan, run_plan
+from .engine import (COUNTS, EXPERIMENTS, SETTINGS, ExperimentPlan, _number, _parse_scalar,
+                     load_plan, run_plan)
 
 # Unit of every column the commands write, and of every quantity named
 # after a measured_, predicted_ or se_ prefix; each text is written once.
@@ -117,11 +119,15 @@ def _print_table(records):
 def cmd_predict(args) -> tuple:
     sections = ("cbc", "amp", "threshold")
     chosen = [name for name in sections if getattr(args, name)] or sections
-    if args.N is not None:  # a -N that is text or beyond float range fails alike in every section
-        _number("N", args.N)
+    cbc = EXPERIMENTS["cbc"]  # amp reads -N as the fallback of -G
+    reads = {"cbc": (*cbc.keys, *cbc.options), "amp": ("G", "N"), "threshold": ("N",)}
+    _refuse(args, [key for name in chosen for key in reads[name]], " --".join(["predict", *chosen]))
+    given = vars(args)
+    if "N" in given:  # a -N that is text or beyond float range fails alike in every section
+        _number("N", given["N"])
     records = []
     if "cbc" in chosen:
-        config = EXPERIMENTS["cbc"].config(_record("cbc", args, "prediction"))
+        config = cbc.config(_record("cbc", args, "prediction"))
         pred = predict_output(config)
         records.append({
             "kind": "cbc", "N": config.n_beams, "n": config.photons,
@@ -132,15 +138,15 @@ def cmd_predict(args) -> tuple:
             "excess_x": pred.excess_x, "excess_p": pred.excess_p,
         })
     if "amp" in chosen:
-        big_g = args.G if args.G is not None else args.N
+        big_g = given.get("G", given.get("N"))
         if big_g is None:
             raise ValueError("amplifier prediction needs -G (or -N to default to G = N)")
         var = predict_chain((big_g, [_gain_spec(big_g)]))["var_x"]
         records.append({"kind": "amp", "G": float(big_g), "var": var, "var_units": var / VAR_COH})
     if "threshold" in chosen:
-        if args.N is None:
+        if "N" not in given:
             raise ValueError("threshold prediction needs -N")
-        records.append({"kind": "threshold", "N": args.N, "xi_star": xi_threshold(args.N)})
+        records.append({"kind": "threshold", "N": given["N"], "xi_star": xi_threshold(given["N"])})
     for rec in records:
         _print_table([rec])
         print()
@@ -155,13 +161,24 @@ def _flag(key: str) -> str:  # -N, --phase-var
     return ("-" if len(key) == 1 else "--") + key.replace("_", "-")
 
 
+def _refuse(args, reads, name: str):
+    """Refuse, in table order, each typed point flag or run setting that ``name`` does not read."""
+    stray = vars(args).keys() - set(reads)
+    keys = dict.fromkeys(key for row in EXPERIMENTS.values() for key in (*row.keys, *row.options))
+    if flags := [_flag(key) for key in (*keys, *SETTINGS) if key in stray]:
+        raise ValueError(f"{name} takes no {', '.join(flags)}")
+
+
 def _record(name: str, args, verb: str) -> dict:
-    """Grid record of experiment ``name`` from the flags named like its keys and options."""
-    experiment = EXPERIMENTS[name]
-    if any(getattr(args, key) is None for key in experiment.keys):
+    """Record of ``name``: each key and option as typed, else its default; a None is left out."""
+    experiment, given = EXPERIMENTS[name], vars(args)
+    if any(key not in given for key in experiment.keys):
         raise ValueError(f"{name} {verb} needs {' and '.join(map(_flag, experiment.keys))}")
-    return {key: getattr(args, key) for key in (*experiment.keys, *experiment.options)
-            if getattr(args, key, None) is not None}
+    values = {**experiment.options, **given}
+    if "phase_var" in given:
+        values["xi"] = None  # --phase-var overrides --xi
+    return {key: values[key] for key in (*experiment.keys, *experiment.options)
+            if values[key] is not None}
 
 
 def _simulate_records(result) -> list:
@@ -187,17 +204,11 @@ def cmd_simulate(args) -> tuple:
         raise ValueError("give either an experiment name or --plan, not both")
     if not args.plan and args.experiment is None:
         raise ValueError("name an experiment or give --plan")
-    own = EXPERIMENTS.get(args.experiment)  # a plan (None here) takes no point flags
-    allowed = (*own.keys, *own.options) if own else ()
-    # a flag at its table default counts as not given, and so does None: --phase-var unsets xi
-    stray = dict.fromkeys(_flag(key) for row in EXPERIMENTS.values()
-                          for key in (*row.keys, *row.options) if key not in allowed
-                          and getattr(args, key) not in (None, row.options.get(key)))
-    if stray:
-        raise ValueError(f"{args.experiment or '--plan'} takes no {', '.join(stray)}")
+    own = EXPERIMENTS.get(args.experiment)  # a plan (None here) sets every point and run setting
+    _refuse(args, (*own.keys, *own.options, *SETTINGS) if own else (), args.experiment or "--plan")
     plan = load_plan(args.plan) if args.plan else ExperimentPlan(
         args.experiment, (_record(args.experiment, args, "simulation"),),
-        args.trials, args.seed, args.tolerance_k)
+        **{SETTINGS[key]: value for key, value in vars(args).items() if key in SETTINGS})
     result = run_plan(plan, workers=args.workers)
     records = _simulate_records(result)
     _print_table(records)
@@ -249,8 +260,8 @@ def cmd_compare(args) -> tuple:
 
 
 def _add_grid_flags(parser, rows):
-    """Add the flags of ``rows``, experiment -> keys (None: all keys and options), one per key:
-    its help quotes each row, and its default, choices and type come from the first row."""
+    """Add one flag per key of ``rows`` (experiment -> keys; None: all), absent unless typed:
+    its help quotes each row, and its choices, type and quoted default come from the first row."""
     flags = {}
     for name, keys in rows.items():
         row = EXPERIMENTS[name]
@@ -261,9 +272,9 @@ def _add_grid_flags(parser, rows):
                 continue
             default = row.options.get(key)  # None writes no column
             flags[key] = parser.add_argument(
-                _flag(key), default=default, choices=row.choices.get(key),
+                _flag(key), default=argparse.SUPPRESS, choices=row.choices.get(key),
                 type=None if key in row.choices else _parse_scalar if key in COUNTS else float,
-                help=text if default is None else text + " (default %(default)s)")
+                help=text if default is None else f"{text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("experiment", nargs="?", choices=tuple(EXPERIMENTS))
     p_sim.add_argument("--plan", help="run a key = value plan file instead of flags")
     _add_grid_flags(p_sim, dict.fromkeys(EXPERIMENTS))
-    p_sim.add_argument("--trials", type=_parse_scalar, default=ExperimentPlan.trials,
-                       help="Monte Carlo trials per point, unused by lock (default %(default)s)")
-    p_sim.add_argument("--seed", type=_parse_scalar, default=ExperimentPlan.master_seed,
-                       help="master seed (default %(default)s)")
-    p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k",
-                       default=ExperimentPlan.tolerance_k,
-                       help="acceptance band half-width in standard errors (default %(default)s)")
+    p_sim.add_argument("--trials", type=_parse_scalar, default=argparse.SUPPRESS, help=(
+        f"Monte Carlo trials per point, unused by lock (default {ExperimentPlan.trials})"))
+    p_sim.add_argument("--seed", type=_parse_scalar, default=argparse.SUPPRESS,
+                       help=f"master seed (default {ExperimentPlan.master_seed})")
+    p_sim.add_argument("--tolerance-k", type=float, dest="tolerance_k", default=argparse.SUPPRESS,
+                       help=f"acceptance band half-width in standard errors "
+                            f"(default {ExperimentPlan.tolerance_k})")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     p_sim.add_argument("--workers", type=int, default=cpus,
                        help="worker threads; outputs are the same for any count "
@@ -316,10 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "phase_var", None) is not None:
-        args.xi = None  # --phase-var overrides --xi
+    args = build_parser().parse_args(argv)
     try:
         status, records, title = args.func(args)
         if args.out:

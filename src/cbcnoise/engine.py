@@ -146,15 +146,14 @@ def load_plan(path) -> ExperimentPlan:
                if not key.startswith("grid.")}
     if "experiment" not in scalars:
         raise ValueError(f"{path}: missing experiment key")
-    settings = {"trials": "trials", "seed": "master_seed", "tolerance_k": "tolerance_k"}
-    unknown = set(scalars) - {"experiment", *settings}
+    unknown = set(scalars) - {"experiment", *SETTINGS}
     if unknown:
         raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}; "
                          "per-point settings belong on grid.* axes")
     names = list(grid_axes)
     grid = [dict(zip(names, combo)) for combo in itertools.product(*grid_axes.values())]
     return ExperimentPlan(str(scalars.pop("experiment")), tuple(grid),
-                          **{settings[key]: value for key, value in scalars.items()})
+                          **{SETTINGS[key]: value for key, value in scalars.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +258,7 @@ def _lock_jobs(lock, trials, stream):
 
 
 _chain = (_chunked(amp_mod.chain_kernel), functools.partial(_score_stats, amp_mod.predict_chain))
+SETTINGS = dict(trials="trials", seed="master_seed", tolerance_k="tolerance_k")  # plan key -> field
 COUNTS = ("N", "stages", "intervals")  # grid keys flags read as plan lines: -N 4.0 stays 4.0
 _BEAMS = {"N": "number of beams", "n": "photons per beam"}
 

@@ -221,20 +221,26 @@ def test_simulate_lock_default_gain_matches_library(tmp_path):
 
 
 def test_simulate_choices_are_the_experiment_table():
-    # every key and option of every row is a flag, spelled as in plans with _ as -, taking the
-    # table's default and, for a text option, its choices; counts parse as plan lines, as ints
+    # every key and option of every row is a flag, spelled as in plans with _ as -; it has no
+    # argparse default, so only a typed flag reaches the namespace, and its help quotes the
+    # table's default; a text option takes its choices, and counts parse as plan lines, as ints
+    import argparse
+
     from cbcnoise.engine import EXPERIMENTS
 
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     actions = {a.dest: a for a in sub.choices["simulate"]._actions}
     assert tuple(actions["experiment"].choices) == tuple(EXPERIMENTS)
-    fields = [(row, key) for row in EXPERIMENTS.values() for key in (*row.keys, *row.options)]
-    assert {key for _, key in fields} <= set(actions)
-    for row, key in fields:
+    fields = [(name, row, key) for name, row in EXPERIMENTS.items()
+              for key in (*row.keys, *row.options)]
+    assert {key for _, _, key in fields} <= set(actions)
+    for name, row, key in fields:
         action = actions[key]
         assert action.option_strings == [("-" if len(key) == 1 else "--") + key.replace("_", "-")]
-        assert action.default == row.options.get(key)
-        if isinstance(action.default, str):
+        assert action.default is argparse.SUPPRESS
+        if row.options.get(key) is not None:
+            assert f"{name}: {row.help[key]} (default {row.options[key]})" in action.help
+        if key in row.choices:
             assert tuple(action.choices) == tuple(row.choices[key])
         else:
             parsed = action.type("3")
@@ -320,14 +326,39 @@ def test_amp_without_n_cl_writes_no_n_cl_column(tmp_path):
     (["--plan", "{plan}", "-N", "8"], "--plan takes no -N"),
     (["--plan", "{plan}", "--xi", "2", "--drift-var", "0.1"], "--plan takes no --xi, --drift-var"),
     (["--plan", "{plan}", "--phase-var", "0.01"], "--plan takes no --phase-var"),
+    (["cbc", "-N", "2", "-n", "100", "--stages", "1"], "cbc takes no --stages"),
+    (["gamma", "-N", "8", "--phase-var", "0.01", "--kind", "quantum_limited"],
+     "gamma takes no --kind"),
+    (["gamma", "-N", "8", "--phase-var", "0.01", "--xi", "3"], "gamma takes no --xi"),
+    (["--plan", "{plan}", "--xi", "1"], "--plan takes no --xi"),
+    (["--plan", "{plan}", "--trials", "1000", "--seed", "9"], "--plan takes no --trials, --seed"),
+    (["--plan", "{plan}", "--tolerance-k", "3"], "--plan takes no --tolerance-k"),
 ], ids=["cbc-stages-n-cl", "lock-phase-var", "gamma-kind", "plan-N", "plan-xi-drift-var",
-        "plan-phase-var"])
+        "plan-phase-var", "cbc-default-stages", "gamma-default-kind", "gamma-phase-var-xi",
+        "plan-default-xi", "plan-trials-seed", "plan-tolerance-k"])
 def test_simulate_rejects_point_flags_it_does_not_take(tmp_path, capsys, argv, message):
-    # an experiment takes its own keys and options, a plan none; each stray flag is named
+    # an experiment takes its own keys and options, a plan none and no run setting; a flag
+    # counts when it is typed, even at its default, and each stray flag is named
     plan = write_plan(tmp_path, "experiment = cbc\ngrid.N = 2\ngrid.n = 100\n")
-    argv = ["simulate", *(arg.format(plan=plan) for arg in argv), "--trials", "1000"]
+    argv = ["simulate", *(arg.format(plan=plan) for arg in argv)]
+    if "--plan" not in argv:
+        argv += ["--trials", "1000"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--threshold", "-N", "3", "--xi", "7", "-n", "5"], "predict --threshold takes no -n, --xi"),
+    (["--cbc", "-N", "2", "-n", "100", "-G", "4"], "predict --cbc takes no -G"),
+    (["--amp", "-G", "4", "-n", "5"], "predict --amp takes no -n"),
+    (["-N", "4", "-n", "1000", "--xi", "1", "-G", "2"], None),
+], ids=["threshold", "cbc", "amp", "all-sections"])
+def test_predict_rejects_flags_its_sections_do_not_read(capsys, argv, message):
+    # cbc reads its keys and options, amp -G and -N (G's fallback), threshold -N; all
+    # sections together read every flag, so a bare predict refuses none
+    rc = main(["predict", *argv])
+    err = capsys.readouterr().err
+    assert (rc, err) == ((2, f"error: {message}\n") if message else (0, ""))
 
 
 def test_phase_var_unsets_xi_without_making_it_stray(tmp_path):

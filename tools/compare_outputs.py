@@ -42,6 +42,9 @@ COMMANDS = [
     "simulate amp -G 4 --n-cl 1 --trials 50000 --seed 3",
     "simulate cbc -N 2 -n 100 --stages 4 --n-cl 3 --trials 1000",  # stray flags: exit 2
     "simulate --plan plan_cbc.txt -N 8",  # a plan takes no point flags: exit 2
+    "simulate cbc -N 2 -n 100 --stages 1 --trials 1000",  # stray at its default: exit 2
+    "simulate --plan plan_cbc.txt --trials 5000 --seed 9",  # a plan takes no run settings: exit 2
+    "predict --threshold -N 3 --xi 7 -n 5",  # a flag its section does not read: exit 2
     *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
 ]
 HELPS = ("predict", "simulate", "compare")
