@@ -14,7 +14,8 @@ Philox words: one word per complex field sample, two phases or terms per word.
 
 Every Monte Carlo ensemble in the package runs through ``run_chunks``:
 fixed-size chunks, one substream per chunk, statistics merged in chunk
-order.
+order.  A chunk's statistics are one in-place reduction of (2, count)
+float64 rows of x and p: the rows a kernel returns, or a copy of its samples.
 """
 
 from __future__ import annotations
@@ -199,22 +200,31 @@ class QuadratureStats:
 def _row_moments(block: np.ndarray) -> tuple:
     """(means, unbiased variances) of the rows of a C-ordered float64 ``block``, in place (the
     block is spent): bit for bit each row's ``np.mean(row)`` and ``np.var(row, ddof=1)``, as
-    numpy sums a row of a C-ordered block pairwise like a lone one."""
+    numpy sums a row of a C-ordered block pairwise like a lone one.  A single column, as a
+    one-trial last chunk holds, has its values as means and no spread."""
     n = block.shape[1]
     means = block.sum(axis=1) / n
     block -= means[:, None]
     block *= block
-    return means, block.sum(axis=1) / (n - 1)
+    return means, block.sum(axis=1) / max(n - 1, 1)
+
+
+def _stats(samples, count: int) -> QuadratureStats:
+    """QuadratureStats of ``count`` trials: complex or real samples, copied once into (2, count)
+    float64 rows of x and p, or those rows themselves, reduced where they lie (spent)."""
+    rows = np.asarray(samples)
+    if rows.shape != (2, count) or rows.dtype != float:  # samples, one per trial
+        rows = np.array([rows.real.ravel(), rows.imag.ravel()], float)
+    (mean_x, mean_p), (var_x, var_p) = _row_moments(rows)
+    return QuadratureStats(float(mean_x), float(mean_p), float(var_x), float(var_p), count)
 
 
 def estimate_stats(samples) -> QuadratureStats:
     """Estimate QuadratureStats from an ensemble of complex field samples."""
-    a = np.asarray(samples).ravel()
-    n = a.size
+    n = np.size(samples)
     if n < 2:
         raise ValueError("insufficient data: need at least 2 samples")
-    (mean_x, mean_p), (var_x, var_p) = _row_moments(np.array([a.real, a.imag], float))
-    return QuadratureStats(float(mean_x), float(mean_p), float(var_x), float(var_p), n)
+    return _stats(samples, n)
 
 
 def merge_stats(a: QuadratureStats, b: QuadratureStats) -> QuadratureStats:
@@ -251,12 +261,7 @@ def chunk_trials(width: int) -> int:
 
 
 def _run_chunk(kernel, count, stream):
-    samples = kernel(count, stream.generator())
-    if count == 1:
-        # a one-trial last chunk has no spread; merge_stats needs only its mean
-        z = complex(np.ravel(samples)[0])
-        return QuadratureStats(z.real, z.imag, 0.0, 0.0, 1)
-    return estimate_stats(samples)
+    return _stats(kernel(count, stream.generator()), count)
 
 
 def _fits(name: str, value, variances, trials: int):
@@ -270,7 +275,8 @@ def chunk_jobs(kernel, width: int, trials: int, stream: RngStream) -> list:
     """One zero-argument job per chunk, in chunk order, returning its stats.
 
     Chunk i holds chunk_trials(width) trials (the last one the remainder),
-    sampled by ``kernel(count, generator)`` from ``stream.substream(i)``.
+    sampled by ``kernel(count, generator)`` from ``stream.substream(i)``: ``count`` complex or
+    real samples, or their (2, count) float64 rows of x and p, which are then spent.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (VAR_COH, QuadratureStats, RngStream, _box_muller_blocks, _finite, _fits,
-                       _whole, gaussian_field, run_chunks)
+from .coherent import (_SIGMA_COH, VAR_COH, QuadratureStats, RngStream, _box_muller_blocks,
+                       _finite, _fits, _whole, run_chunks)
 from .coherent import chunk_trials as chunk_trials  # perfbench/tracing.py calls it from here
 
 # Phase variance (rad^2) beyond which the quadratic predictors degrade.
@@ -207,31 +207,37 @@ def predict_output(config: CbcConfig) -> CbcPrediction:
 
 
 def sample_cbc_outputs(config: CbcConfig, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` combined-port field samples with one generator.
+    """Draw ``count`` combined-port field samples with one generator, as (2, count) x, p rows.
 
     Per trial: Gaussian phase errors psi_k on the N beams, the coherent sum
-    sqrt(n/N) * sum_k (cos psi_k + 1j*sin psi_k), and one ``gaussian_field``
-    vacuum: the combiner is unitary, so the N input vacua reaching port 0 add
-    up to exactly one coherent-state vacuum.  Draw order: ``_box_muller_blocks`` float32 phases,
-    ceil(count/2) Philox words per beam, then the port vacuum, one word per trial, so a given
-    stream always yields the same ensemble.  cos psi_k - 1 and sin psi_k, in float32, are added
-    to N and 0 in float64 beam by beam: a sample is within ~1e-7*sqrt(n) of float64 trig's sum.
+    sqrt(n/N) * sum_k (cos psi_k + 1j*sin psi_k), and one coherent-state vacuum: the combiner
+    is unitary, so the N input vacua reaching port 0 add up to exactly one.  Draw order:
+    ``_box_muller_blocks`` float32 phases, ceil(count/2) Philox words per beam, then the port
+    vacuum, one word per trial, read as ``gaussian_field`` reads it, so a given stream always
+    yields the same ensemble.  cos psi_k - 1 and sin psi_k, in float32, are added to N and 0 in
+    float64 beam by beam: a sample is within ~1e-7*sqrt(n) of float64 trig's sum.  The rows are
+    the chunk: no complex port is built, and ``coherent._run_chunk`` reduces them in place.
     """
-    x, p, c = np.full(count, float(config.n_beams)), np.zeros(count), None
+    x, p = rows = np.full((2, count), [[config.n_beams], [0.0]])
     for psi in _box_muller_blocks(gen, math.sqrt(config.phase_var), config.n_beams, count):
-        c = np.empty_like(psi) if c is None else c[:len(psi)]
-        np.subtract(np.cos(psi, out=c), 1, out=c)
+        c = np.cos(psi)
+        np.subtract(c, 1, out=c)
         np.sin(psi, out=psi)
         for k in range(len(psi)):  # one beam at a time, so any block size adds alike
             x += c[k]
             p += psi[k]
-    del psi, c  # the buffers go before the port's complex array comes
-    # the vacuum first, then the port's mean added in place: addition commutes, bit for bit
-    port = gaussian_field(0.0, gen, shape=count)
-    s = math.sqrt(config.photons / config.n_beams)
-    port.real += np.multiply(x, s, out=x)
-    port.imag += np.multiply(p, s, out=p)
-    return port
+        del c  # before the next block's raw words come: see below
+    del psi  # the phase buffers go before the vacuum's come
+    rows *= math.sqrt(config.photons / config.n_beams)
+    # gaussian_field's vacuum, sigma times float32 normals in float64 (addition commutes: its
+    # port's parts bit for bit), a quadrature at a time; with c freed per block, at most 1.75 MiB
+    # lives at once, below the heap top of twice the rows that glibc gives back at every chunk
+    rest = rows
+    for z in _box_muller_blocks(gen, 1.0, count, 2):
+        for row, normals in zip(rest, z.T):
+            row[:len(z)] += np.multiply(normals, _SIGMA_COH, dtype=np.float64)
+        rest = rest[:, len(z):]  # the trials still to fill
+    return rows
 
 
 def cbc_kernel(config: CbcConfig, trials: int):

@@ -296,16 +296,22 @@ def test_run_chunks_layout():
 
 def test_run_chunks_merges_a_one_trial_last_chunk():
     from cbcnoise.coherent import chunk_trials, run_chunks
+    from cbcnoise.combining import cbc_kernel
 
     def kernel(count, gen):
         return sample_coherent(0.5, gen, size=count)
 
-    size = chunk_trials(1)
-    stats = run_chunks(kernel, 1, size + 1, RngStream(4))
-    z = np.concatenate([kernel(size, RngStream(4).substream(0).generator()),
-                        kernel(1, RngStream(4).substream(1).generator())])
-    assert stats.trials == size + 1
-    assert stats.mean_x == pytest.approx(z.real.mean(), rel=1e-12)
-    assert stats.mean_p == pytest.approx(z.imag.mean(), rel=1e-12)
-    assert stats.var_x == pytest.approx(z.real.var(ddof=1), rel=1e-12)
-    assert stats.var_p == pytest.approx(z.imag.var(ddof=1), rel=1e-12)
+    # complex samples, and a cbc kernel's (2, count) rows of x and p, whose one-trial chunk
+    # must not divide by n - 1 = 0; each against the concatenated chunks
+    cbc, cbc_width = cbc_kernel(CbcConfig(8, 100.0, xi=5.0), 10 ** 6)
+    for draw, width, seed, xp in [(kernel, 1, 4, lambda z: (z.real, z.imag)),
+                                  (cbc, cbc_width, 5, lambda rows: rows)]:
+        size = chunk_trials(width)
+        stats = run_chunks(draw, width, size + 1, RngStream(seed))
+        x, p = xp(np.concatenate([draw(count, RngStream(seed).substream(idx).generator())
+                                  for idx, count in enumerate((size, 1))], axis=-1))
+        assert stats.trials == size + 1
+        assert stats.mean_x == pytest.approx(x.mean(), rel=1e-12)
+        assert stats.mean_p == pytest.approx(p.mean(), rel=1e-12)
+        assert stats.var_x == pytest.approx(x.var(ddof=1), rel=1e-12)
+        assert stats.var_p == pytest.approx(p.var(ddof=1), rel=1e-12)

@@ -1,5 +1,6 @@
 """Tests for the DFT combiner, noise predictions, and the CBC Monte Carlo."""
 
+import functools
 import math
 import tracemalloc
 
@@ -23,8 +24,8 @@ from cbcnoise import (
 from cbcnoise import coherent
 from cbcnoise.amplifier import KINDS, AmplifierSpec, chain_kernel
 from cbcnoise.coherent import gaussian_field
-from cbcnoise.combining import (chunk_trials, combine_port_amplitude, gamma_sum_kernel,
-                                sample_cbc_outputs)
+from cbcnoise.combining import (cbc_kernel, chunk_trials, combine_port_amplitude,
+                                gamma_sum_kernel, sample_cbc_outputs)
 
 # Forward transform of [1+2j, -1, 0.5j, 2-1j], computed from the O(N^2)
 # definition sum_j a_j exp(-2 pi i j k / N) / sqrt(N) with plain cmath.
@@ -251,7 +252,13 @@ def test_float32_trig_matches_float64_sum(n_beams, photons):
     gen = RngStream(31).generator()
     psi = _box_muller_by_hand(gen, math.sqrt(cfg.phase_var), n_beams, count).astype(np.float64)
     port = math.sqrt(photons / n_beams) * np.exp(1j * psi).sum(axis=0)
-    np.testing.assert_allclose(samples, gaussian_field(port, gen), rtol=0, atol=FLOAT32_TRIG_ATOL)
+    np.testing.assert_allclose(samples, _xp_rows(gaussian_field(port, gen)), rtol=0,
+                               atol=FLOAT32_TRIG_ATOL)
+
+
+def _xp_rows(z):
+    # the sampler's (2, count) form of complex samples: the row of x, then the row of p
+    return np.array([z.real, z.imag])
 
 
 def _whole_chunk_cbc(cfg, count, gen):
@@ -277,7 +284,8 @@ def test_blocked_phases_match_one_whole_draw(monkeypatch, block, width):
     rows = max(1, block // n_beams)
     cfg = CbcConfig(n_beams=n_beams, photons=100.0, xi=5.0)
     gamma, _ = gamma_sum_kernel(n_beams, 0.01, 1000)
-    pairs = [(lambda c, g: sample_cbc_outputs(cfg, c, g), lambda c, g: _whole_chunk_cbc(cfg, c, g)),
+    pairs = [(lambda c, g: sample_cbc_outputs(cfg, c, g),
+              lambda c, g: _xp_rows(_whole_chunk_cbc(cfg, c, g))),
              (gamma, lambda c, g: _whole_chunk_gamma(0.01, c, n_beams, g))]
     for count in sorted({max(1, rows - 1), rows, rows + 1}):
         for draw, whole in pairs:
@@ -296,14 +304,15 @@ def _traced_peak(draw):
 
 
 def test_cbc_chunk_memory_is_bounded():
-    # a full chunk holds 65536 trials; 3 MiB holds the sums x and p, the port and
-    # gaussian_field's block buffers (2.79 MiB), not those with the float32 phase
-    # block and its cosines kept beside them (3.29 MiB at N = 2 and 32)
+    # a whole chunk of 65536 trials, sampler and statistics; 2.5 MiB holds its (2, count) rows
+    # of x and p and one phase or vacuum block's buffers (1.82 MiB at N = 2 and 32), reduced
+    # where they lie, not a complex port beside the sums and the statistics' copy of its
+    # parts (2.79 MiB).  One chunk is run first: numpy's first call in a process adds ~0.72 MiB
     for n_beams in (2, 32):
-        cfg = CbcConfig(n_beams=n_beams, photons=1000.0, xi=5.0)
-        gen = RngStream(3).generator()
-        count = chunk_trials(n_beams)
-        assert _traced_peak(lambda: sample_cbc_outputs(cfg, count, gen)) <= 3 * 2 ** 20, n_beams
+        kernel, width = cbc_kernel(CbcConfig(n_beams, 1000.0, xi=5.0), 10 ** 6)
+        chunk = functools.partial(coherent._run_chunk, kernel, chunk_trials(width), RngStream(3))
+        chunk()
+        assert _traced_peak(chunk) <= 2.5 * 2 ** 20, n_beams
 
 
 def test_gamma_chunk_memory_is_bounded():

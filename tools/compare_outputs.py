@@ -45,6 +45,8 @@ COMMANDS = [
     "simulate cbc -N 2 -n 100 --stages 1 --trials 1000",  # stray at its default: exit 2
     "simulate --plan plan_cbc.txt --trials 5000 --seed 9",  # a plan takes no run settings: exit 2
     "predict --threshold -N 3 --xi 7 -n 5",  # a flag its section does not read: exit 2
+    "simulate cbc -N 8 -n 100 --xi 5 --trials 65537 --seed 5",  # a one-trial last chunk
+    "simulate cbc -N 33 -n 100 --trials 63551 --seed 5",  # the same at the capped chunk size
     *(f"simulate --plan plan_{name}.txt --workers {w}" for name in PLANS for w in (1, 2)),
 ]
 HELPS = ("predict", "simulate", "compare")
